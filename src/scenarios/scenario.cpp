@@ -43,14 +43,6 @@ void Scenario::add_session_source(const traffic::LayeredSource::Config& cfg) {
     case TrafficEngine::kFluid:
       fluid_sources_.push_back(std::make_unique<traffic::FluidSource>(*simulation_, cfg));
       return;
-    case TrafficEngine::kBurst: {
-      traffic::BurstSource::Config bcfg;
-      bcfg.source = cfg;
-      bcfg.train_packets = config_.traffic.burst_train;
-      burst_sources_.push_back(
-          std::make_unique<traffic::BurstSource>(*simulation_, *network_, bcfg));
-      return;
-    }
   }
   throw std::logic_error("unknown traffic engine");
 }
@@ -309,7 +301,6 @@ void Scenario::finalize() {
   }
 
   for (const auto& source : sources_) source->start();
-  for (const auto& source : burst_sources_) source->start();
   if (fluid_engine_) {
     // Cross-traffic competes for fluid capacity as a constant-rate background
     // flow instead of a packet train (the packet flow objects stay unstarted).
@@ -384,21 +375,6 @@ void Scenario::add_cross_traffic(const CrossTrafficSpec& spec) {
   } else {
     cross_flows_.back()->start();
   }
-}
-
-std::unique_ptr<Scenario> Scenario::topology_a(const ScenarioConfig& config,
-                                               const TopologyAOptions& options) {
-  return build_topology_a(config, options);
-}
-
-std::unique_ptr<Scenario> Scenario::topology_b(const ScenarioConfig& config,
-                                               const TopologyBOptions& options) {
-  return build_topology_b(config, options);
-}
-
-std::unique_ptr<Scenario> Scenario::tiered(const ScenarioConfig& config,
-                                           const TieredOptions& options) {
-  return build_tiered(config, options);
 }
 
 std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& config,
@@ -666,23 +642,10 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
   net::Network& netw = *s->network_;
 
   // A `traffic` directive overrides the config's engine selection.
-  switch (description.engine) {
-    case TrafficEngineSpec::kDefault:
-      break;
-    case TrafficEngineSpec::kPacket:
-      s->config_.traffic.engine = TrafficEngine::kPacket;
-      break;
-    case TrafficEngineSpec::kFluid:
-      s->config_.traffic.engine = TrafficEngine::kFluid;
-      break;
-    case TrafficEngineSpec::kBurst:
-      s->config_.traffic.engine = TrafficEngine::kBurst;
-      break;
-  }
+  if (description.engine) s->config_.traffic.engine = *description.engine;
   if (description.fluid_step_s) {
     s->config_.traffic.fluid_step = sim::Time::seconds(*description.fluid_step_s);
   }
-  if (description.burst_train) s->config_.traffic.burst_train = *description.burst_train;
 
   std::unordered_map<std::string, net::NodeId> by_name;
   for (const std::string& name : description.nodes) {
@@ -696,7 +659,8 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
     const std::size_t queue =
         link.queue_packets.value_or(queue_limit_for(config, link.bandwidth.bps()));
     const auto [ab, ba] = netw.add_duplex_link(a, b, link.bandwidth, link.latency, queue);
-    if (link.red || config.queues.red) {
+    // config.queues.red is applied to every link in finalize().
+    if (link.red) {
       netw.link(ab).enable_red({});
       netw.link(ba).enable_red({});
     }

@@ -73,8 +73,8 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
     scenario = Scenario::from_description(config_, *description_);
   } else {
     throw std::logic_error(
-        "ScenarioBuilder: no topology selected — call topology_a/topology_b/tiered/"
-        "topology(...) before build()");
+        "ScenarioBuilder: no topology selected — call topology_a/topology_b/tiered/star/"
+        "topology(...)/topology_file(...) before build()");
   }
   for (const CrossTrafficSpec& spec : cross_traffic_) scenario->add_cross_traffic(spec);
   for (const fault::FaultPlan& plan : fault_plans_) scenario->install_faults(plan);

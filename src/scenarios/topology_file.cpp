@@ -343,24 +343,21 @@ ParseResult parse_topology(std::string_view text) {
       desc.domains.push_back(std::move(dom));
     } else if (directive == "traffic") {
       if (tokens.size() < 2) {
-        return fail(line_no, "traffic needs: packet|fluid|burst [options]");
+        return fail(line_no, "traffic needs: packet|fluid [options]");
       }
       const std::string& engine = tokens[1];
       if (engine == "packet") {
-        desc.engine = TrafficEngineSpec::kPacket;
+        desc.engine = TrafficEngine::kPacket;
       } else if (engine == "fluid") {
-        desc.engine = TrafficEngineSpec::kFluid;
-      } else if (engine == "burst") {
-        desc.engine = TrafficEngineSpec::kBurst;
+        desc.engine = TrafficEngine::kFluid;
       } else {
-        return fail(line_no, "unknown traffic engine '" + engine + "' (packet|fluid|burst)");
+        return fail(line_no, "unknown traffic engine '" + engine + "' (packet|fluid)");
       }
-      desc.traffic_line = line_no;
       for (std::size_t i = 2; i < tokens.size(); i += 2) {
         if (i + 1 >= tokens.size()) {
           return fail(line_no, "traffic option '" + tokens[i] + "' needs a value");
         }
-        if (tokens[i] == "step" && desc.engine == TrafficEngineSpec::kFluid) {
+        if (tokens[i] == "step" && desc.engine == TrafficEngine::kFluid) {
           double step_s = 0.0;
           if (!parse_double(tokens[i + 1], step_s) || step_s <= 0.0 || step_s > 1.0) {
             return fail(line_no, "bad step '" + tokens[i + 1] + "' (seconds in (0, 1])");
@@ -374,15 +371,6 @@ ParseResult parse_topology(std::string_view text) {
                         "step '" + tokens[i + 1] + "' must divide one second exactly");
           }
           desc.fluid_step_s = step_s;
-        } else if (tokens[i] == "train" && desc.engine == TrafficEngineSpec::kBurst) {
-          int packets = 0;
-          const auto [ptr, ec] = std::from_chars(
-              tokens[i + 1].data(), tokens[i + 1].data() + tokens[i + 1].size(), packets);
-          if (ec != std::errc{} || ptr != tokens[i + 1].data() + tokens[i + 1].size() ||
-              packets < 1) {
-            return fail(line_no, "bad train size '" + tokens[i + 1] + "' (integer >= 1)");
-          }
-          desc.burst_train = packets;
         } else {
           return fail(line_no, "unknown traffic option '" + tokens[i] + "' for engine '" +
                                    engine + "'");

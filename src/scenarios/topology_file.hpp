@@ -12,6 +12,13 @@
 
 namespace tsim::scenarios {
 
+/// Which traffic engine carries session data. Control traffic (reports,
+/// suggestions, discovery) is always packet-level.
+enum class TrafficEngine {
+  kPacket,  ///< one scheduler event per packet (LayeredSource, the default)
+  kFluid,   ///< rate trajectories integrated per step (traffic::FluidEngine)
+};
+
 /// Parsed form of the line-based topology description language used by the
 /// `toposense_sim` CLI. Grammar (one directive per line, `#` comments):
 ///
@@ -23,7 +30,6 @@ namespace tsim::scenarios {
 ///   domain <name> <border-node> [<node>...]
 ///   traffic packet
 ///   traffic fluid [step <seconds>]
-///   traffic burst [train <packets>]
 ///   fault link <a> <b> down <t> [up <t>]
 ///   fault link <a> <b> lossy <p> <t0> <t1>
 ///   fault link <a> <b> flap <t0> <t1> period <seconds> [duty <d>]
@@ -40,15 +46,6 @@ namespace tsim::scenarios {
 /// `domain` line form the implicit root domain around the `controller` node,
 /// which therefore must not itself be claimed by a `domain` line. Each node
 /// belongs to at most one domain.
-/// Traffic engine requested by a `traffic` directive. kDefault means the
-/// file said nothing and the ScenarioConfig's selection stands.
-enum class TrafficEngineSpec {
-  kDefault,
-  kPacket,
-  kFluid,
-  kBurst,
-};
-
 struct TopologyDescription {
   struct LinkSpec {
     std::string a;
@@ -84,11 +81,10 @@ struct TopologyDescription {
   std::vector<DomainSpec> domains;
   std::string controller_node;
   int controller_line{0};
-  /// Traffic engine selection (`traffic` directive; kDefault when absent).
-  TrafficEngineSpec engine{TrafficEngineSpec::kDefault};
+  /// Traffic engine selected by a `traffic` directive; when absent, the
+  /// ScenarioConfig's selection stands.
+  std::optional<TrafficEngine> engine;
   std::optional<double> fluid_step_s;  ///< `traffic fluid step <seconds>`
-  std::optional<int> burst_train;     ///< `traffic burst train <packets>`
-  int traffic_line{0};
   /// Schedule parsed from `fault` directives (empty when the file has none).
   fault::FaultPlan faults;
   /// Source line of each entry in `faults.events()`, same order (a directive

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Two-pass cross-TU test for toposense_hotpath.
+"""Cross-TU link test for toposense_hotpath.
 
-Summarizes each fixture TU into its own JSON summary file (pass 1), links the
-summaries (pass 2), and asserts the heap allocation in b.cpp is reported as
-reachable from the HOT_PATH root whose annotation sits on a declaration in
-shared.hpp and whose definition sits in a.cpp. The finding can only exist if
-annotation merging and call-edge resolution work across TU summaries — a
-single-TU scan of any one file reports nothing.
+Asserts the heap allocation in b.cpp is reported as reachable from the
+HOT_PATH root whose annotation sits on a declaration in shared.hpp and whose
+definition sits in a.cpp. The finding can only exist if annotation merging
+and call-edge resolution work across per-file summaries: each half of the
+fixture analyzed on its own reports nothing.
 
 Usage: check_cross_tu.py <toposense_hotpath> <fixture_dir>
 """
@@ -14,45 +13,29 @@ Usage: check_cross_tu.py <toposense_hotpath> <fixture_dir>
 import os
 import subprocess
 import sys
-import tempfile
 
 
-def run(args):
-    return subprocess.run(args, capture_output=True, text=True, check=False)
+def run(tool, fixture, paths):
+    return subprocess.run([tool] + paths, cwd=fixture, capture_output=True, text=True,
+                          check=False)
 
 
 def main():
-    tool, fixture = sys.argv[1], sys.argv[2]
-    src = os.path.join(fixture, "src")
+    tool, fixture = os.path.abspath(sys.argv[1]), sys.argv[2]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        # Pass 1: one summary per "TU". The header rides with a.cpp, as a
-        # compile_commands-driven run would summarize each entry separately.
-        summaries = []
-        for name, files in (
-            ("a", [os.path.join(src, "a.cpp"), os.path.join(src, "shared.hpp")]),
-            ("b", [os.path.join(src, "b.cpp")]),
-        ):
-            out = os.path.join(tmp, name + ".json")
-            proc = run([tool, "--summarize", "--out", out] + files)
-            if proc.returncode != 0:
-                print("summarize failed:", proc.stdout, proc.stderr)
-                return 1
-            summaries += ["--summaries", out]
+    # Each half alone must be clean: a.cpp (with the header that carries the
+    # annotation) has the root but no violation, b.cpp has the violation but
+    # no root.
+    for half in (["src/a.cpp", "src/shared.hpp"], ["src/b.cpp"]):
+        proc = run(tool, fixture, half)
+        if proc.returncode != 0:
+            print(f"half {' '.join(half)} should be clean:", proc.stdout, proc.stderr)
+            return 1
 
-        # Each single TU alone must be clean: a.cpp has the root but no
-        # violation, b.cpp has the violation but no root.
-        for single in ("a.json", "b.json"):
-            proc = run([tool, "--summaries", os.path.join(tmp, single)])
-            if proc.returncode != 0:
-                print(f"single-TU {single} should be clean:", proc.stdout)
-                return 1
-
-        # Pass 2: the link step joins the halves into one finding.
-        proc = run([tool] + summaries)
-
+    # The union links the halves into one finding.
+    proc = run(tool, fixture, ["src"])
     if proc.returncode != 1:
-        print("expected exit 1 from linked summaries, got", proc.returncode)
+        print("expected exit 1 from the whole fixture, got", proc.returncode)
         print(proc.stdout, proc.stderr)
         return 1
     wanted = "[hotpath/heap-alloc]"
@@ -65,7 +48,7 @@ def main():
         print("expected exactly one finding:")
         print(proc.stdout)
         return 1
-    print("cross-TU two-pass link OK")
+    print("cross-TU link OK")
     return 0
 
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "scenarios/scenario.hpp"
 
 namespace tsim::scenarios {
@@ -158,6 +160,38 @@ TEST(TopologyParseTest, RejectsBrokenReceiverWindows) {
       << inverted.error;
 }
 
+TEST(TopologyParseTest, TrafficDirective) {
+  const std::string body = "node a\nnode b\nlink a b 10Mbps 5ms\nsource 0 a\n";
+  const std::string tail = "receiver b 0\ncontroller a\n";
+
+  const auto none = parse_topology(body + tail);
+  ASSERT_TRUE(none.ok()) << none.error;
+  EXPECT_FALSE(none.description->engine.has_value());
+
+  const auto fluid = parse_topology(body + "traffic fluid step 0.25\n" + tail);
+  ASSERT_TRUE(fluid.ok()) << fluid.error;
+  EXPECT_EQ(fluid.description->engine, TrafficEngine::kFluid);
+  ASSERT_TRUE(fluid.description->fluid_step_s.has_value());
+  EXPECT_DOUBLE_EQ(*fluid.description->fluid_step_s, 0.25);
+
+  // The directive sits on line 5 in every failing case below.
+  const auto non_dividing = parse_topology(body + "traffic fluid step 0.3\n" + tail);
+  ASSERT_FALSE(non_dividing.ok());
+  EXPECT_NE(non_dividing.error.find("line 5"), std::string::npos) << non_dividing.error;
+  EXPECT_NE(non_dividing.error.find("must divide one second"), std::string::npos)
+      << non_dividing.error;
+
+  const auto burst = parse_topology(body + "traffic burst\n" + tail);
+  ASSERT_FALSE(burst.ok());
+  EXPECT_NE(burst.error.find("line 5"), std::string::npos) << burst.error;
+  EXPECT_NE(burst.error.find("unknown traffic engine"), std::string::npos) << burst.error;
+
+  const auto train = parse_topology(body + "traffic packet train 4\n" + tail);
+  ASSERT_FALSE(train.ok());
+  EXPECT_NE(train.error.find("line 5"), std::string::npos) << train.error;
+  EXPECT_NE(train.error.find("unknown traffic option"), std::string::npos) << train.error;
+}
+
 TEST(FromDescriptionTest, BuildsAndRunsEndToEnd) {
   const auto parsed = parse_topology(kValid);
   ASSERT_TRUE(parsed.ok());
@@ -231,6 +265,33 @@ controller s0
   ASSERT_EQ(scenario->results().size(), 2u);
   EXPECT_EQ(scenario->results()[0].optimal, 3);
   EXPECT_EQ(scenario->results()[1].optimal, 3);
+}
+
+TEST(FromDescriptionTest, TrafficDirectiveOverridesConfigEngine) {
+  const auto parsed = parse_topology(
+      "node src\nnode a\nlink src a 1Mbps 50ms\nsource 0 src\nreceiver a 0\n"
+      "controller src\ntraffic fluid step 0.5\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ScenarioConfig config;
+  config.traffic.engine = TrafficEngine::kPacket;
+  auto scenario = Scenario::from_description(config, *parsed.description);
+  EXPECT_NE(scenario->fluid_engine(), nullptr);
+  EXPECT_EQ(scenario->config().traffic.engine, TrafficEngine::kFluid);
+  EXPECT_EQ(scenario->config().traffic.fluid_step, 500_ms);
+  EXPECT_TRUE(scenario->sources().empty());
+  EXPECT_EQ(scenario->fluid_sources().size(), 1u);
+}
+
+TEST(FromDescriptionTest, ConfigRedEnablesEveryLink) {
+  const auto parsed = parse_topology(kValid);
+  ASSERT_TRUE(parsed.ok());
+  ScenarioConfig config;
+  config.queues.red = true;
+  auto scenario = Scenario::from_description(config, *parsed.description);
+  ASSERT_GT(scenario->network().link_count(), 0u);
+  for (net::LinkId id = 0; id < scenario->network().link_count(); ++id) {
+    EXPECT_TRUE(scenario->network().link(id).red_enabled()) << "link " << id;
+  }
 }
 
 TEST(FromDescriptionTest, UnreachableReceiverThrows) {
