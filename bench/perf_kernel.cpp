@@ -1,13 +1,23 @@
 // Performance microbenchmarks (google-benchmark): the event kernel, the
-// packet forwarding path, and the TopoSense algorithm's scaling with tree
-// size. These guard the simulator's throughput — the figure benches run
-// hundreds of simulated minutes and depend on it.
+// packet forwarding path, the TopoSense algorithm's scaling with tree size,
+// and the two per-layer costs of a 100k-receiver fluid closed loop (one
+// controller interval, one fluid step). These guard the simulator's
+// throughput — the figure benches run hundreds of simulated minutes and
+// depend on it.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "control/controller_agent.hpp"
 #include "core/toposense.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_builder.hpp"
 #include "sim/simulation.hpp"
+#include "topo/provider.hpp"
+#include "transport/control_messages.hpp"
+#include "transport/demux.hpp"
 
 namespace {
 
@@ -102,6 +112,108 @@ void BM_TopoSenseInterval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TopoSenseInterval)->Arg(16)->Arg(256)->Arg(4096);
+
+/// Discovery stand-in serving one fixed snapshot for session 0.
+class FixedSnapshot final : public topo::TopologyProvider {
+ public:
+  explicit FixedSnapshot(topo::TopologySnapshot snap) : snap_{std::move(snap)} {}
+  void track_session(net::SessionId /*session*/, net::LayerId /*max_layer*/) override {}
+  void start() override {}
+  [[nodiscard]] const topo::TopologySnapshot* snapshot(net::SessionId session) const override {
+    return session == snap_.session ? &snap_ : nullptr;
+  }
+
+ private:
+  topo::TopologySnapshot snap_;
+};
+
+void BM_ControllerInterval(benchmark::State& state) {
+  // One ControllerAgent interval over a `range`-receiver star: algorithm
+  // input assembly from the snapshot and the report history, then
+  // TopoSense::run_interval and the suggestion fan-out. Suggestions are
+  // dropped at the unicast filter, so no packet events follow. The star, the
+  // registrations and each interval's fresh reports are set up untimed.
+  const auto receivers = static_cast<net::NodeId>(state.range(0));
+  sim::Simulation simulation{1};
+  net::Network network{simulation};
+  const net::NodeId hub = network.add_node("hub");
+  topo::TopologySnapshot snap;
+  snap.source = hub;
+  for (net::NodeId i = 0; i < receivers; ++i) {
+    const net::NodeId leaf = network.add_node("r" + std::to_string(i));
+    network.add_duplex_link(hub, leaf, units::BitsPerSec{1.2e6}, Time::milliseconds(20), 30);
+    snap.edges.emplace_back(hub, leaf);
+    snap.receivers.push_back(leaf);
+  }
+  network.add_routing_sink(hub);
+  network.compute_routes();
+  network.set_unicast_filter([](const net::Packet&) { return false; });
+  transport::DemuxRegistry demuxes{network};
+  FixedSnapshot discovery{std::move(snap)};
+
+  control::ControllerAgent::Config cfg;
+  cfg.node = hub;
+  cfg.start = cfg.params.interval;
+  // Only the last three intervals' reports are ever aggregated.
+  cfg.report_history_limit = 3;
+  control::ControllerAgent controller{simulation, network, discovery, demuxes.at(hub), cfg};
+  const std::vector<net::NodeId>& leaves = discovery.snapshot(0)->receivers;
+  for (const net::NodeId leaf : leaves) controller.register_receiver(0, leaf);
+  controller.start();
+
+  const transport::PacketDemux& demux = demuxes.at(hub);
+  const Time interval = cfg.params.interval;
+  Time next = cfg.start;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const net::NodeId leaf : leaves) {
+      auto report = std::make_shared<transport::ReceiverReport>();
+      report->receiver = leaf;
+      report->subscription = 3;
+      report->loss_rate = units::LossFraction{(leaf % 7 == 0) ? 0.1 : 0.0};
+      report->bytes_received = units::Bytes{28'000};
+      report->received_packets = units::PacketCount{56};
+      report->window_start = next - interval;
+      report->window_end = next;
+      net::Packet packet;
+      packet.kind = net::PacketKind::kReport;
+      packet.src = leaf;
+      packet.dst = hub;
+      packet.control = std::move(report);
+      demux.dispatch(net::PacketRef::make(std::move(packet)));
+    }
+    state.ResumeTiming();
+    simulation.run_until(next);
+    benchmark::DoNotOptimize(controller.last_output().prescriptions.size());
+    next += interval;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ControllerInterval)->Arg(30'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
+
+void BM_FluidStep(benchmark::State& state) {
+  // One fluid integration step (pass A, the per-link queue step, pass B and
+  // the member credits) on a `range`-receiver fluid star held at five layers
+  // with no controller, so the step is the only event. Built and warmed up
+  // untimed.
+  scenarios::ScenarioConfig config;
+  config.seed = 1;
+  config.traffic.engine = scenarios::TrafficEngine::kFluid;
+  config.control.kind = scenarios::ControllerKind::kNone;
+  config.control.initial_subscription = 5;
+  scenarios::StarOptions star;
+  star.receivers = static_cast<int>(state.range(0));
+  auto scenario = scenarios::ScenarioBuilder(config).star(star).build();
+  Time now = Time::seconds(std::int64_t{1});
+  scenario->run_until(now);
+  for (auto _ : state) {
+    now += config.traffic.fluid_step;
+    scenario->run_until(now);
+    benchmark::DoNotOptimize(scenario->fluid_engine()->steps_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FluidStep)->Arg(10'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

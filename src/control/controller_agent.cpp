@@ -26,9 +26,18 @@ ControllerAgent::ControllerAgent(sim::Simulation& simulation, net::Network& netw
 }
 
 void ControllerAgent::register_receiver(net::SessionId session, net::NodeId receiver) {
-  auto& list = registered_[session];
-  if (std::find(list.begin(), list.end(), receiver) == list.end()) list.push_back(receiver);
-  discovery_.track_session(session, static_cast<net::LayerId>(config_.params.layers.num_layers));
+  const auto [it, first] = registered_.try_emplace(session);
+  if (first) {
+    discovery_.track_session(session,
+                             static_cast<net::LayerId>(config_.params.layers.num_layers));
+  }
+  std::vector<std::uint8_t>& member = membership_[session];
+  if (member.size() <= receiver) {
+    member.resize(std::max<std::size_t>(receiver + 1, network_.node_count()), 0);
+  }
+  if (member[receiver] != 0) return;
+  member[receiver] = 1;
+  it->second.push_back(receiver);
 }
 
 ReceiverAgent* ControllerAgent::register_receiver(transport::ReceiverEndpoint& endpoint) {
@@ -225,7 +234,8 @@ void ControllerAgent::run_interval() {
   core::AlgorithmInput input;
   input.window = config_.params.interval;
 
-  for (const auto& [session, receivers] : registered_) {
+  // membership_ has exactly registered_'s sessions, in the same order.
+  for (const auto& [session, member] : membership_) {
     const topo::TopologySnapshot* snap = discovery_.snapshot(session);
     if (snap == nullptr || snap->source == net::kInvalidNode) continue;
 
@@ -253,7 +263,7 @@ void ControllerAgent::run_interval() {
       // Border pseudo-receivers are routers, never group members, so they are
       // admitted by registration alone; real receivers need both.
       if ((snapshot_receivers.count(node) != 0 || is_border(session, node)) &&
-          std::find(receivers.begin(), receivers.end(), node) != receivers.end()) {
+          node < member.size() && member[node] != 0) {
         const ReportAggregate agg = aggregate_reports(session, node, report_cutoff);
         n.is_receiver = true;
         n.loss_rate = agg.loss_rate;

@@ -51,7 +51,8 @@ class ControllerAgent final : public AdaptationController {
                   Config config);
 
   /// Receivers register on session join (§II); registration is a direct call
-  /// because the paper treats it as out-of-band setup.
+  /// because the paper treats it as out-of-band setup. A repeat registration
+  /// of the same (session, receiver) is ignored.
   void register_receiver(net::SessionId session, net::NodeId receiver);
 
   /// AdaptationController: registers by the endpoint's (session, node). The
@@ -174,6 +175,10 @@ class ControllerAgent final : public AdaptationController {
   /// Ordered map: run_interval iterates this to build AlgorithmInput, and the
   /// session order must not depend on hash-table layout (determinism lint).
   std::map<net::SessionId, std::vector<net::NodeId>> registered_;
+  /// Per session, a NodeId-indexed flag: 1 if the node is in registered_.
+  /// Registration and the interval's admission test look membership up here
+  /// in O(1) instead of scanning the ordered list.
+  std::map<net::SessionId, std::vector<std::uint8_t>> membership_;
   /// (session<<32|receiver) -> recent reports, newest at the back.
   std::unordered_map<std::uint64_t, std::deque<transport::ReceiverReport>> reports_;
   core::AlgorithmOutput last_output_;

@@ -213,6 +213,8 @@ class Network {
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_[id]; }
   [[nodiscard]] Link& link(LinkId id) { return *links_[id]; }
   [[nodiscard]] const Link& link(LinkId id) const { return *links_[id]; }
+  /// The link's read-only fast-path parameters (see LinkParams).
+  [[nodiscard]] const LinkParams& link_params(LinkId id) const { return link_params_[id]; }
   [[nodiscard]] const RoutingTable& routes() const { return routing_; }
   /// Registers `dst` as a unicast sink (see RoutingTable::add_sink): lookups
   /// toward it share one destination-rooted row instead of materializing a

@@ -5,6 +5,14 @@
 
 namespace tsim::traffic {
 
+namespace {
+/// What one step adds to an integer total kept equal to the floor of a
+/// non-negative cumulative volume: floor(after) - floor(before).
+std::uint64_t whole_delta(double before, double after) {
+  return static_cast<std::uint64_t>(after) - static_cast<std::uint64_t>(before);
+}
+}  // namespace
+
 FluidEngine::FluidEngine(sim::Simulation& simulation, net::Network& network,
                          mcast::MulticastRouter& mcast, Config config)
     : simulation_{simulation}, network_{network}, mcast_{mcast}, config_{config} {
@@ -40,19 +48,21 @@ void FluidEngine::start() {
 }
 
 void FluidEngine::ensure_capacity() {
-  if (link_state_.size() < network_.link_count()) {
-    link_state_.resize(network_.link_count());
-    // Pre-size the per-step scratch so the hot tree walks never grow it:
-    // touched_ holds at most one entry per link, and the walk stack's
-    // worst-case depth is one frame per tree edge (again bounded by links).
-    touched_.reserve(link_state_.size());
-    stack_.reserve(link_state_.size() + 1);
-  }
+  const std::uint32_t links = network_.link_count();
+  const std::uint32_t nodes = network_.node_count();
   const std::uint32_t groups = network_.group_stats_count();
-  if (cells_.size() < groups) {
-    cells_.resize(groups);
-    members_.resize(groups);
-  }
+  if (link_state_.size() == links && row_nodes_ == nodes && cells_.size() == groups) return;
+  link_state_.resize(links);
+  // Pre-size the per-step scratch so the hot tree walks never grow it:
+  // touched_ holds at most one entry per link, and the walk stack's
+  // worst-case depth is one frame per tree edge (again bounded by links).
+  touched_.reserve(links);
+  stack_.reserve(links + 1);
+  cells_.resize(groups);
+  members_.resize(groups);
+  for (std::vector<Cell>& row : cells_) row.resize(links);
+  for (std::vector<MemberCredit>& row : members_) row.resize(nodes);
+  row_nodes_ = nodes;
 }
 
 void FluidEngine::touch(net::LinkId link) {
@@ -99,7 +109,7 @@ void FluidEngine::walk_offered(const mcast::GroupTree& tree, double rate) {
       st.offered += inflow;
       // Pass B must visit exactly this link set, so descend even at rate 0.
       // HOTPATH_ALLOW(container-growth: walk stack bounded by tree edges; capacity reserved by ensure_capacity)
-      stack_.push_back({network_.link(link).to(), inflow * (1.0 - st.loss_prev)});
+      stack_.push_back({network_.link_params(link).to, inflow * (1.0 - st.loss_prev)});
     }
   }
 }
@@ -107,21 +117,15 @@ void FluidEngine::walk_offered(const mcast::GroupTree& tree, double rate) {
 void FluidEngine::credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link,
                               double inflow, double delivered, double packet_size) {
   const double dt_s = config_.step.as_seconds();
+  const Cell before = cell;
   cell.delivered_acc += delivered * dt_s / 8.0;
   cell.dropped_acc += (inflow - delivered) * dt_s / (8.0 * packet_size);
-  const auto del_bytes = static_cast<std::uint64_t>(cell.delivered_acc);
-  const auto del_packets = static_cast<std::uint64_t>(cell.delivered_acc / packet_size);
-  const auto drop_packets = static_cast<std::uint64_t>(cell.dropped_acc);
-  const auto drop_bytes = static_cast<std::uint64_t>(cell.dropped_acc * packet_size);
   network_.credit_fluid_link(
-      link, gid, units::Bytes{del_bytes - cell.delivered_bytes_credited},
-      units::PacketCount{del_packets - cell.delivered_packets_credited},
-      units::Bytes{drop_bytes - cell.dropped_bytes_credited},
-      units::PacketCount{drop_packets - cell.dropped_packets_credited});
-  cell.delivered_bytes_credited = del_bytes;
-  cell.delivered_packets_credited = del_packets;
-  cell.dropped_bytes_credited = drop_bytes;
-  cell.dropped_packets_credited = drop_packets;
+      link, gid, units::Bytes{whole_delta(before.delivered_acc, cell.delivered_acc)},
+      units::PacketCount{whole_delta(before.delivered_acc / packet_size,
+                                     cell.delivered_acc / packet_size)},
+      units::Bytes{whole_delta(before.dropped_acc * packet_size, cell.dropped_acc * packet_size)},
+      units::PacketCount{whole_delta(before.dropped_acc, cell.dropped_acc)});
 }
 
 void FluidEngine::credit_member(net::GroupAddr group, std::uint32_t gid, net::NodeId node,
@@ -129,18 +133,13 @@ void FluidEngine::credit_member(net::GroupAddr group, std::uint32_t gid, net::No
   if (node >= sinks_by_node_.size() || sinks_by_node_[node].empty()) return;
   const double dt_s = config_.step.as_seconds();
   MemberCredit& mc = members_[gid][node];
+  const MemberCredit before = mc;
   mc.byte_acc += rate * dt_s / 8.0;
   mc.recv_acc += rate * dt_s / (8.0 * packet_size);
   mc.lost_acc += (source_rate - rate) * dt_s / (8.0 * packet_size);
-  const auto bytes = static_cast<std::uint64_t>(mc.byte_acc);
-  const auto recv = static_cast<std::uint64_t>(mc.recv_acc);
-  const auto lost = static_cast<std::uint64_t>(mc.lost_acc);
-  const units::Bytes d_bytes{bytes - mc.bytes_credited};
-  const units::PacketCount d_recv{recv - mc.recv_credited};
-  const units::PacketCount d_lost{lost - mc.lost_credited};
-  mc.bytes_credited = bytes;
-  mc.recv_credited = recv;
-  mc.lost_credited = lost;
+  const units::Bytes d_bytes{whole_delta(before.byte_acc, mc.byte_acc)};
+  const units::PacketCount d_recv{whole_delta(before.recv_acc, mc.recv_acc)};
+  const units::PacketCount d_lost{whole_delta(before.lost_acc, mc.lost_acc)};
   if (d_bytes.count() == 0 && d_recv.count() == 0 && d_lost.count() == 0) return;
   for (FluidSink* sink : sinks_by_node_[node]) {
     sink->on_fluid_delivery(group, d_bytes, d_recv, d_lost);
@@ -166,7 +165,7 @@ void FluidEngine::walk_credit(const mcast::GroupTree& tree, net::GroupAddr group
       const double delivered = inflow * (1.0 - link_state_[link].loss_now);
       credit_cell(cells[link], gid, link, inflow, delivered, source_packet_size);
       // HOTPATH_ALLOW(container-growth: walk stack bounded by tree edges; capacity reserved by ensure_capacity)
-      stack_.push_back({network_.link(link).to(), delivered});
+      stack_.push_back({network_.link_params(link).to, delivered});
     }
   }
 }

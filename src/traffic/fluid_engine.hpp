@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,8 +39,9 @@ namespace tsim::traffic {
 /// end, so joins at t=0 are live in the very first step.
 ///
 /// Determinism: sources are walked in add order, layers in order, tree links
-/// in CSR order, background flows in add order; the unordered_maps here are
-/// lookup-only (never iterated). All timing derives from sim::Time.
+/// in CSR order, background flows in add order. The integerization
+/// accumulators are dense rows indexed by id, never iterated. All timing
+/// derives from sim::Time.
 class FluidEngine {
  public:
   struct Config {
@@ -88,25 +88,22 @@ class FluidEngine {
     bool touched{false};
   };
 
-  /// Exact-accumulator + credited-integer pair for one (group, link) cell.
-  /// Credits are floor(exact) - credited, so integerization error never
-  /// accumulates beyond one packet/byte regardless of step count.
+  /// Exact cumulative volumes of one (group, link) cell. Each step credits
+  /// floor(after) - floor(before), so the integer totals always equal the
+  /// floor of the exact volume: integerization error never accumulates beyond
+  /// one packet/byte regardless of step count. Byte/packet conversions use
+  /// the packet size of the cell's one source, so it is fixed per cell.
   struct Cell {
     double delivered_acc{0.0};  ///< cumulative delivered volume, in bytes
     double dropped_acc{0.0};    ///< cumulative dropped volume, in packets
-    std::uint64_t delivered_bytes_credited{0};
-    std::uint64_t delivered_packets_credited{0};
-    std::uint64_t dropped_bytes_credited{0};
-    std::uint64_t dropped_packets_credited{0};
   };
 
+  /// Exact cumulative volumes delivered to one (group, member node), credited
+  /// to its sinks the same floor(after) - floor(before) way as Cell.
   struct MemberCredit {
     double byte_acc{0.0};
     double recv_acc{0.0};
     double lost_acc{0.0};
-    std::uint64_t bytes_credited{0};
-    std::uint64_t recv_credited{0};
-    std::uint64_t lost_credited{0};
   };
 
   struct BackgroundFlow {
@@ -122,8 +119,9 @@ class FluidEngine {
 
   void step();
   HOT_PATH_EXEMPT(
-      "per-step capacity warm-up: resizes the link table and reserves the walk scratch "
-      "only when the topology or group count grew; a size check thereafter")
+      "per-step capacity warm-up: resizes the link table and the per-group cell/member "
+      "rows and reserves the walk scratch only when the topology or group count grew; a "
+      "size check thereafter")
   void ensure_capacity();
   /// Marks a link as carrying fluid this step; on the first touch after an
   /// idle gap, drains the backlog for the gap at line rate and zeroes the
@@ -154,10 +152,12 @@ class FluidEngine {
   std::vector<BackgroundFlow> background_;
   std::vector<LinkState> link_state_;
   std::vector<net::LinkId> touched_;
-  /// Per-group-stats-id cell/member maps (lookup-only; iteration always goes
-  /// through the deterministic tree walk).
-  std::vector<std::unordered_map<net::LinkId, Cell>> cells_;
-  std::vector<std::unordered_map<net::NodeId, MemberCredit>> members_;
+  /// Per group-stats id, one Cell per LinkId and one MemberCredit per NodeId.
+  /// Keyed by id, not by position in the tree's CSR arrays: the accumulators
+  /// carry sub-packet remainders across tree rebuilds, which reorder the CSR.
+  std::vector<std::vector<Cell>> cells_;
+  std::vector<std::vector<MemberCredit>> members_;
+  std::uint32_t row_nodes_{0};  ///< length of every members_ row
   std::vector<std::pair<net::NodeId, double>> stack_;  ///< walk scratch
   std::uint64_t steps_{0};
 };

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "control/receiver_agent.hpp"
 #include "mcast/multicast_router.hpp"
 #include "topo/discovery.hpp"
+#include "topo/provider.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/layered_source.hpp"
 #include "transport/receiver_endpoint.hpp"
@@ -135,6 +138,111 @@ TEST_F(ControlFixture, SlowReportingStillConverges) {
   build(10e6, Time::zero(), 4_s);
   simulation.run_until(90_s);
   EXPECT_EQ(endpoint->subscription(), 6);
+}
+
+/// Discovery stand-in serving a hand-built snapshot, so a test decides
+/// exactly which nodes the tree and the receiver set contain.
+class FixedSnapshotProvider final : public topo::TopologyProvider {
+ public:
+  void track_session(net::SessionId /*session*/, net::LayerId /*max_layer*/) override {
+    ++track_calls;
+  }
+  void start() override {}
+  [[nodiscard]] const topo::TopologySnapshot* snapshot(net::SessionId session) const override {
+    return session == snap.session ? &snap : nullptr;
+  }
+
+  topo::TopologySnapshot snap;
+  int track_calls{0};
+};
+
+/// A bare ControllerAgent over a star src -> {a, b, c} whose snapshot tree
+/// holds all three leaves; the audit hook captures the first interval's
+/// algorithm input.
+struct MembershipFixture : ::testing::Test {
+  sim::Simulation simulation{3};
+  net::Network network{simulation};
+  net::NodeId src{network.add_node("src")};
+  net::NodeId a{network.add_node("a")};
+  net::NodeId b{network.add_node("b")};
+  net::NodeId c{network.add_node("c")};
+  transport::DemuxRegistry demuxes{network};
+  FixedSnapshotProvider discovery;
+  std::unique_ptr<ControllerAgent> controller;
+  std::optional<core::AlgorithmInput> first_input;
+
+  void SetUp() override {
+    for (const net::NodeId leaf : {a, b, c}) {
+      network.add_duplex_link(src, leaf, tsim::units::BitsPerSec{10e6}, 10_ms, 30);
+      discovery.snap.edges.emplace_back(src, leaf);
+    }
+    network.compute_routes();
+    discovery.snap.session = 0;
+    discovery.snap.source = src;
+
+    ControllerAgent::Config cfg;
+    cfg.node = src;
+    cfg.start = 1_s;
+    controller = std::make_unique<ControllerAgent>(simulation, network, discovery,
+                                                   demuxes.at(src), cfg);
+    controller->set_audit_hook(
+        [this](const core::AlgorithmInput& input, const core::AlgorithmOutput&) {
+          if (!first_input) first_input = input;
+        });
+  }
+
+  /// Runs the first interval and returns whether `node` entered the
+  /// algorithm as a receiver.
+  bool admitted(net::NodeId node) {
+    if (!first_input) {
+      controller->start();
+      simulation.run_until(1500_ms);
+    }
+    if (!first_input || first_input->sessions.size() != 1) {
+      ADD_FAILURE() << "no algorithm input for session 0";
+      return false;
+    }
+    for (const core::SessionNodeInput& n : first_input->sessions.front().nodes) {
+      if (n.node == node) return n.is_receiver;
+    }
+    ADD_FAILURE() << "node " << node << " missing from the algorithm input";
+    return false;
+  }
+};
+
+TEST_F(MembershipFixture, DuplicateRegistrationIsIgnoredAndOrderKept) {
+  controller->register_receiver(0, c);
+  controller->register_receiver(0, a);
+  controller->register_receiver(0, c);
+  controller->register_receiver(0, b);
+  controller->register_receiver(0, a);
+  const auto& registered = controller->registered();
+  ASSERT_EQ(registered.size(), 1u);
+  EXPECT_EQ(registered.at(0), (std::vector<net::NodeId>{c, a, b}));
+}
+
+TEST_F(MembershipFixture, DiscoveryTracksEachSessionOnce) {
+  controller->register_receiver(0, a);
+  controller->register_receiver(0, b);
+  controller->register_receiver(0, a);
+  EXPECT_EQ(discovery.track_calls, 1);
+  controller->register_receiver(1, a);
+  EXPECT_EQ(discovery.track_calls, 2);
+}
+
+TEST_F(MembershipFixture, SnapshotReceiverThatNeverRegisteredIsNotAdmitted) {
+  discovery.snap.receivers = {a, b};
+  controller->register_receiver(0, a);
+  EXPECT_TRUE(admitted(a));
+  EXPECT_FALSE(admitted(b));
+}
+
+TEST_F(MembershipFixture, RegisteredNodeMissingFromSnapshotIsNotAdmitted) {
+  discovery.snap.receivers = {a};
+  controller->register_receiver(0, a);
+  controller->register_receiver(0, c);
+  EXPECT_TRUE(admitted(a));
+  EXPECT_FALSE(admitted(c));
 }
 
 TEST(ReceiverAgentTest, UnilateralDropOnSuggestionSilence) {
