@@ -1,9 +1,9 @@
-// Performance microbenchmarks (google-benchmark): the event kernel, the
-// packet forwarding path, the TopoSense algorithm's scaling with tree size,
-// and the two per-layer costs of a 100k-receiver fluid closed loop (one
-// controller interval, one fluid step). These guard the simulator's
-// throughput — the figure benches run hundreds of simulated minutes and
-// depend on it.
+// Performance microbenchmarks (google-benchmark): the event kernel (including
+// a drifting 10k-wide fan-out burst), the packet forwarding path, the
+// TopoSense algorithm's scaling with tree size, and the two per-layer costs of
+// a 100k-receiver fluid closed loop (one controller interval, one fluid step).
+// These guard the simulator's throughput — the figure benches run hundreds of
+// simulated minutes and depend on it.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -53,6 +53,35 @@ void BM_SelfRescheduling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SelfRescheduling)->Arg(100000);
+
+void BM_SchedulerFanoutBurst(benchmark::State& state) {
+  // The packet star's load shape: each iteration is one `range`-wide fan-out
+  // burst whose deliveries cluster, tie and arrive out of order within
+  // ~10 us, a quarter of them scheduling a follow-up 50-60 us later. One
+  // scheduler lives across iterations, and the 1.23 ms burst period is
+  // incommensurate with any bucket width, so the bursts drift across buckets
+  // and windows. Items are executed events.
+  const auto fanout = static_cast<std::uint32_t>(state.range(0));
+  const Time period = Time::nanoseconds(1'234'567);
+  sim::Scheduler sched;
+  std::uint64_t follow_ups = 0;
+  Time now = Time::zero();
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < fanout; ++i) {
+      const auto offset = static_cast<std::int64_t>(1'000 + (i * 7919u) % 9973u);
+      sched.schedule_at(now + Time::nanoseconds(offset), [&sched, &follow_ups, i] {
+        if (i % 4 != 0) return;
+        sched.schedule_after(Time::nanoseconds(50'000 + static_cast<std::int64_t>(i)),
+                             [&follow_ups] { ++follow_ups; });
+      });
+    }
+    now += period;
+    sched.run_until(now);
+  }
+  benchmark::DoNotOptimize(follow_ups);
+  state.SetItemsProcessed(static_cast<std::int64_t>(sched.executed_events()));
+}
+BENCHMARK(BM_SchedulerFanoutBurst)->Arg(10'000);
 
 void BM_ScenarioSimulatedMinute(benchmark::State& state) {
   // End-to-end: one simulated minute of Topology B with `range` sessions.

@@ -26,6 +26,15 @@ class TopoSense {
  public:
   TopoSense(Params params, sim::Rng rng);
 
+  /// Not copyable: each cached tree's memory slots point into this
+  /// instance's per-node memory, so a copy would read and write the
+  /// original's state. Moving is safe because unordered_map nodes keep their
+  /// addresses when the map moves.
+  TopoSense(const TopoSense&) = delete;
+  TopoSense& operator=(const TopoSense&) = delete;
+  TopoSense(TopoSense&&) = default;
+  TopoSense& operator=(TopoSense&&) = default;
+
   /// Runs one interval of the algorithm at time `now`.
   AlgorithmOutput run_interval(const AlgorithmInput& input, sim::Time now);
 

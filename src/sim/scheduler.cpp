@@ -34,12 +34,13 @@ EventId Scheduler::schedule_at(Time when, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     // HOTPATH_ALLOW(container-growth: slot-pool high-water growth; slots recycle through free_slots_, so steady state never reallocates)
     slots_.push_back(Slot{});
+    // HOTPATH_ALLOW(container-growth: the bucket-list node array grows with the slot pool, index for index, and recycles with it)
+    nodes_.push_back(Node{});
   }
   slots_[slot].cancelled = false;
   slots_[slot].cb = std::move(cb);
-  const std::uint64_t id = encode(slot, slots_[slot].generation);
-  push_entry(Entry{when.as_nanoseconds(), next_seq_++, id});
-  return EventId{id};
+  push_entry(Entry{when.as_nanoseconds(), next_seq_++, slot});
+  return EventId{encode(slot, slots_[slot].generation)};
 }
 
 EventId Scheduler::schedule_after(Time delay, Callback cb) {
@@ -64,7 +65,7 @@ bool Scheduler::take_front(Callback& out, Time& when) {
 }
 
 bool Scheduler::resolve_entry(const Entry& entry, Callback& out, Time& when) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(entry.id & 0xFFFFFFFFu) - 1;
+  const std::uint32_t slot = entry.slot;
   const bool cancelled = slots_[slot].cancelled;
   if (cancelled) {
     slots_[slot].cancelled = false;
@@ -84,13 +85,6 @@ bool Scheduler::resolve_entry(const Entry& entry, Callback& out, Time& when) {
 
 void Scheduler::push_entry(Entry entry) {
   ++entries_;
-  if (impl_ == QueueImpl::kHeap) {
-    // HOTPATH_ALLOW(container-growth: reference heap keeps capacity across pops; appends reallocate only at a new high-water mark)
-    overflow_.push_back(entry);
-    std::push_heap(overflow_.begin(), overflow_.end(), kMinFirst);
-    return;
-  }
-
   if (entries_ == 1) {
     // Empty queue: re-anchor the window at this event so small workloads and
     // fresh simulations never pay a migration.
@@ -112,44 +106,72 @@ void Scheduler::push_entry(Entry entry) {
   if (idx < bucket_count_) {
     insert_into_bucket(entry, idx);
   } else {
-      // HOTPATH_ALLOW(container-growth: far-future park into the overflow heap; capacity persists across migrations)
-      overflow_.push_back(entry);
+    // HOTPATH_ALLOW(container-growth: far-future park into the overflow heap; capacity persists across migrations and is bounded by peak pending)
+    overflow_.push_back(entry);
     std::push_heap(overflow_.begin(), overflow_.end(), kMinFirst);
   }
 }
 
 void Scheduler::insert_into_bucket(Entry entry, std::size_t idx) {
-  Bucket& bucket = buckets_[idx];
-  if (bucket.entries.empty()) {
-    // HOTPATH_ALLOW(container-growth: bucket append; bucket vectors keep their capacity across windows, so steady state is a store + length bump)
-    bucket.entries.push_back(entry);
-    mark_occupied(idx);
-  } else if (bucket.dirty || bucket.entries.back() < entry) {
-    // Append blindly: either the bucket already awaits its lazy sort, or the
-    // entry extends the sorted suffix anyway.
-    // HOTPATH_ALLOW(container-growth: bucket append into retained capacity; see above)
-    bucket.entries.push_back(entry);
-  } else if (idx == cursor_) {
-    // The bucket is draining right now — keep it sorted in place rather than
-    // re-sorting the live suffix on every subsequent pop.
-    // HOTPATH_ALLOW(container-growth: ordered insert into the draining bucket; bounded by that bucket's live suffix and reuses its capacity)
-    bucket.entries.insert(
-        std::upper_bound(bucket.entries.begin() + static_cast<std::ptrdiff_t>(bucket.head),
-                         bucket.entries.end(), entry),
-        entry);
-  } else {
-    // Not reached yet: defer ordering to one sort when the cursor arrives.
-    // HOTPATH_ALLOW(container-growth: bucket append into retained capacity; see above)
-    bucket.entries.push_back(entry);
-    bucket.dirty = true;
+  if (!drain_.empty()) {
+    if (idx == cursor_) {
+      // The bucket is draining right now — keep the buffer sorted in place
+      // rather than re-sorting its live suffix on every subsequent pop.
+      insert_into_drain(entry);
+      return;
+    }
+    // The cursor moves back to an earlier bucket: the buffer returns to its
+    // own list so only one bucket is ever loaded.
+    if (idx < cursor_) spill_drain();
   }
+  append_to_list(entry, idx);
   if (idx < cursor_) cursor_ = idx;
 }
 
-void Scheduler::sort_bucket(Bucket& bucket) {
-  std::sort(bucket.entries.begin() + static_cast<std::ptrdiff_t>(bucket.head),
-            bucket.entries.end());
-  bucket.dirty = false;
+void Scheduler::append_to_list(const Entry& entry, std::size_t idx) {
+  Bucket& bucket = buckets_[idx];
+  nodes_[entry.slot] = Node{entry.when_ns, entry.seq, kNil};
+  if (bucket.head == kNil) {
+    bucket = Bucket{entry.slot, entry.slot, false};
+    mark_occupied(idx);
+    return;
+  }
+  // An out-of-order append defers ordering to one sort when the cursor
+  // reaches the bucket.
+  const Node& tail = nodes_[bucket.tail];
+  if (entry < Entry{tail.when_ns, tail.seq, bucket.tail}) bucket.dirty = true;
+  nodes_[bucket.tail].next = entry.slot;
+  bucket.tail = entry.slot;
+}
+
+void Scheduler::insert_into_drain(const Entry& entry) {
+  if (drain_.size() == drain_.capacity() && drain_head_ > 0) {
+    // Drop the consumed prefix before the buffer would grow, so its capacity
+    // tracks the bucket's live entries rather than everything that passed
+    // through it.
+    drain_.erase(drain_.begin(), drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_));
+    drain_head_ = 0;
+  }
+  // HOTPATH_ALLOW(container-growth: ordered insert into the one shared drain buffer; it keeps its capacity, which the live entries of one bucket bound)
+  drain_.insert(std::upper_bound(drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_),
+                                 drain_.end(), entry),
+                entry);
+}
+
+void Scheduler::load_drain() const {
+  Bucket& bucket = buckets_[cursor_];
+  for (std::uint32_t slot = bucket.head; slot != kNil; slot = nodes_[slot].next) {
+    // HOTPATH_ALLOW(container-growth: copies the cursor bucket into the one shared drain buffer; its capacity is kept and bounded by the largest bucket)
+    drain_.push_back(Entry{nodes_[slot].when_ns, nodes_[slot].seq, slot});
+  }
+  if (bucket.dirty) std::sort(drain_.begin(), drain_.end());
+  bucket = Bucket{};
+}
+
+void Scheduler::spill_drain() {
+  for (std::size_t i = drain_head_; i < drain_.size(); ++i) append_to_list(drain_[i], cursor_);
+  drain_.clear();
+  drain_head_ = 0;
 }
 
 void Scheduler::start_window(std::int64_t anchor_ns) {
@@ -163,8 +185,9 @@ void Scheduler::start_window(std::int64_t anchor_ns) {
 }
 
 void Scheduler::migrate_overflow() {
-  // Pre: every bucket is empty; the overflow heap is not.
-  assert(!overflow_.empty());
+  // Pre: every bucket and the drain buffer are empty; the overflow heap is
+  // not.
+  assert(!overflow_.empty() && drain_.empty());
 
   // Adapt geometry to the traffic. Bucket width tracks the *mean*
   // inter-execution gap of the window just drained: that measures event
@@ -206,31 +229,32 @@ void Scheduler::migrate_overflow() {
   start_window(overflow_.front().when_ns);
 
   // Drain every overflow entry that lands in the new window. Heap pops come
-  // out in ascending (when, seq) order, so plain appends keep every bucket
+  // out in ascending (when, seq) order, so plain appends keep every list
   // sorted.
   while (!overflow_.empty()) {
     const Entry& top = overflow_.front();
     const std::size_t idx = bucket_index(top.when_ns);
     if (idx >= bucket_count_) break;
-    Bucket& bucket = buckets_[idx];
-    if (bucket.entries.empty()) mark_occupied(idx);
-    bucket.entries.push_back(top);
+    append_to_list(top, idx);
     std::pop_heap(overflow_.begin(), overflow_.end(), kMinFirst);
     overflow_.pop_back();
   }
 }
 
 void Scheduler::rebuild_window() {
+  const auto park = [this](const Entry& entry) {
+    overflow_.push_back(entry);
+    std::push_heap(overflow_.begin(), overflow_.end(), kMinFirst);
+  };
+  for (std::size_t i = drain_head_; i < drain_.size(); ++i) park(drain_[i]);
+  drain_.clear();
+  drain_head_ = 0;
   for (std::size_t idx = next_occupied(0); idx < bucket_count_;
        idx = next_occupied(idx + 1)) {
-    Bucket& bucket = buckets_[idx];
-    for (std::size_t i = bucket.head; i < bucket.entries.size(); ++i) {
-      overflow_.push_back(bucket.entries[i]);
-      std::push_heap(overflow_.begin(), overflow_.end(), kMinFirst);
+    for (std::uint32_t slot = buckets_[idx].head; slot != kNil; slot = nodes_[slot].next) {
+      park(Entry{nodes_[slot].when_ns, nodes_[slot].seq, slot});
     }
-    bucket.entries.clear();
-    bucket.head = 0;
-    bucket.dirty = false;
+    buckets_[idx] = Bucket{};
     mark_empty(idx);
   }
   migrate_overflow();
@@ -258,52 +282,41 @@ Scheduler::Entry Scheduler::pop_min() {
 
 bool Scheduler::pop_min_upto(std::int64_t until_ns, Entry& out) {
   // One positioning pass serves both the bound check and the pop, where a
-  // peek-then-pop pair would scan the occupancy bitmap and dirty-check the
-  // front bucket twice per executed event.
+  // peek-then-pop pair would scan the occupancy bitmap twice per executed
+  // event.
   if (entries_ == 0) return false;
-  if (impl_ == QueueImpl::kHeap) {
-    if (overflow_.front().when_ns > until_ns) return false;
-    std::pop_heap(overflow_.begin(), overflow_.end(), kMinFirst);
-    out = overflow_.back();
-    overflow_.pop_back();
-    --entries_;
-    note_popped(out.when_ns);
-    return true;
-  }
-  for (;;) {
-    cursor_ = next_occupied(cursor_);
-    if (cursor_ < bucket_count_) {
-      ensure_sorted(cursor_);
-      Bucket& bucket = buckets_[cursor_];
-      out = bucket.entries[bucket.head];
-      if (out.when_ns > until_ns) return false;
-      ++bucket.head;
-      if (bucket.head == bucket.entries.size()) {
-        bucket.entries.clear();  // keeps capacity for the bucket's next window
-        bucket.head = 0;
-        mark_empty(cursor_);
-      }
-      --entries_;
-      note_popped(out.when_ns);
-      return true;
+  if (drain_.empty()) {
+    for (;;) {
+      cursor_ = next_occupied(cursor_);
+      if (cursor_ < bucket_count_) break;
+      migrate_overflow();  // buckets exhausted; the minimum waits in overflow
     }
-    migrate_overflow();  // buckets exhausted; the minimum waits in overflow
+    load_drain();
   }
+  out = drain_[drain_head_];
+  if (out.when_ns > until_ns) return false;
+  if (++drain_head_ == drain_.size()) {
+    drain_.clear();  // keeps capacity for the next bucket
+    drain_head_ = 0;
+    mark_empty(cursor_);
+  }
+  --entries_;
+  note_popped(out.when_ns);
+  return true;
 }
 
 std::int64_t Scheduler::peek_min_when() const {
   if (entries_ == 0) return kNever;
-  if (impl_ == QueueImpl::kHeap) return overflow_.front().when_ns;
-  // Memoize the scan: committing cursor advancement is purely structural
-  // (buckets below the cursor are verified empty), so peek stays logically
-  // const while making the subsequent pop_min O(1).
-  cursor_ = next_occupied(cursor_);
-  if (cursor_ < bucket_count_) {
-    ensure_sorted(cursor_);
-    const Bucket& bucket = buckets_[cursor_];
-    return bucket.entries[bucket.head].when_ns;
+  if (drain_.empty()) {
+    // Memoize the scan: committing cursor advancement and loading the drain
+    // buffer are purely structural (buckets below the cursor are verified
+    // empty), so peek stays logically const while making the subsequent pop
+    // O(1).
+    cursor_ = next_occupied(cursor_);
+    if (cursor_ == bucket_count_) return overflow_.front().when_ns;
+    load_drain();
   }
-  return overflow_.front().when_ns;
+  return drain_[drain_head_].when_ns;
 }
 
 Time Scheduler::next_event_time() const {

@@ -18,15 +18,6 @@ struct EventId {
   [[nodiscard]] friend bool operator==(EventId, EventId) = default;
 };
 
-/// Which event-queue structure backs the scheduler. Both execute events in
-/// the identical total order (timestamp, then schedule sequence), so runs are
-/// bit-for-bit reproducible across implementations — the equivalence test in
-/// tests/sim pins this.
-enum class QueueImpl {
-  kCalendar,  ///< two-level calendar queue (default; O(1) amortized)
-  kHeap,      ///< binary heap — reference implementation, kept for tests
-};
-
 /// Discrete-event scheduler: a time-ordered queue of callbacks with
 /// deterministic FIFO tie-breaking (events scheduled earlier at the same
 /// timestamp fire first). Single-threaded by design — determinism is a core
@@ -47,13 +38,14 @@ enum class QueueImpl {
 /// whose size is bounded by the maximum number of *concurrently pending*
 /// events, not by the total number of events ever scheduled or cancelled.
 /// Callbacks up to SmallCallback::kInlineBytes are stored inline in the slot
-/// (no per-event heap allocation), and the queue entries are 24-byte PODs —
-/// bucket and heap shuffles never move callback storage.
+/// (no per-event heap allocation). Buckets are linked lists threaded through
+/// a node array parallel to the slot pool, and the bucket being drained is
+/// copied into one shared buffer, so the queue's memory is
+/// O(peak pending events + bucket count) however long the run: nothing
+/// retains capacity per bucket, and steady state allocates nothing.
 class Scheduler {
  public:
   using Callback = SmallCallback;
-
-  explicit Scheduler(QueueImpl impl = QueueImpl::kCalendar) : impl_{impl} {}
 
   /// Schedules `cb` at absolute time `when` (must be >= now()).
   EventId schedule_at(Time when, Callback cb);
@@ -73,7 +65,6 @@ class Scheduler {
   bool step();
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] QueueImpl queue_impl() const { return impl_; }
   [[nodiscard]] std::size_t pending_events() const { return entries_ - cancelled_pending_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
@@ -100,15 +91,15 @@ class Scheduler {
   void corrupt_clock_for_test(Time now) { now_ = now; }
 
  private:
-  /// One queue entry: 24-byte POD so bucket inserts and heap sifts move no
-  /// callback storage.
+  /// One queue entry: 24-byte POD so drain-buffer inserts and heap sifts move
+  /// no callback storage.
   struct Entry {
     std::int64_t when_ns;
     std::uint64_t seq;
-    std::uint64_t id;  ///< encoded EventId (slot + generation)
+    std::uint32_t slot;  ///< owning slot-pool index
 
     /// The execution total order: timestamp, then schedule sequence (FIFO at
-    /// equal timestamps). Both queue implementations order by exactly this.
+    /// equal timestamps).
     [[nodiscard]] friend bool operator<(const Entry& a, const Entry& b) {
       if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
       return a.seq < b.seq;
@@ -122,12 +113,21 @@ class Scheduler {
     bool cancelled{false};
     Callback cb;
   };
+  /// Bucket-list link for the event in the same slot-pool index: its key and
+  /// the next slot in its bucket. Only meaningful while the event sits in a
+  /// bucket list (not in the drain buffer or the overflow heap).
+  struct Node {
+    std::int64_t when_ns;
+    std::uint64_t seq;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   static constexpr std::uint64_t encode(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) | (slot + 1);
   }
 
-  /// --- queue structure (behind impl_) --------------------------------------
+  /// --- queue structure -----------------------------------------------------
 
   void push_entry(Entry entry);
   /// Removes and returns the (when, seq)-minimum entry. Pre: entries_ > 0.
@@ -141,11 +141,25 @@ class Scheduler {
   /// the callback and fire time are moved to `out` / `when`.
   bool resolve_entry(const Entry& entry, Callback& out, Time& when);
   /// Timestamp of the minimum entry without removing it; INT64_MAX when
-  /// empty. Const: scans without committing cursor movement or migrations.
+  /// empty. Const: may load the minimum's bucket into the drain buffer, which
+  /// moves entries between containers without changing the queue's contents.
   [[nodiscard]] std::int64_t peek_min_when() const;
 
   // calendar internals
   void insert_into_bucket(Entry entry, std::size_t idx);
+  /// Links `entry` at the tail of bucket `idx`'s list, marking the list dirty
+  /// when it lands before the current tail.
+  void append_to_list(const Entry& entry, std::size_t idx);
+  /// Ordered insert into the drain buffer (the bucket being drained).
+  void insert_into_drain(const Entry& entry);
+  /// Moves the list of the first occupied bucket at or after cursor_ into the
+  /// drain buffer, sorting it once if dirty. Pre: the buffer is empty and
+  /// such a bucket exists.
+  void load_drain() const;
+  /// Returns the drain buffer's live entries to their bucket's list. Only
+  /// reached when an external schedule_at lands before the cursor bucket
+  /// (callbacks, whose now() is inside that bucket, never do).
+  void spill_drain();
   HOT_PATH_EXEMPT(
       "window (re)anchoring: allocates the bucket array on first use and otherwise just "
       "re-bases the window origin; runs when the calendar empties, never per event")
@@ -175,44 +189,45 @@ class Scheduler {
   bool take_front(Callback& out, Time& when);
 
   Time now_{Time::zero()};
-  QueueImpl impl_;
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t entries_{0};  ///< live + cancelled entries across both levels
 
   /// Calendar level 1: buckets_[i] covers
-  /// [win_start + (i << shift), win_start + ((i + 1) << shift)). `head` marks
-  /// consumed slots; [head, entries.size()) is sorted ascending unless
-  /// `dirty`. Inserts into not-yet-draining buckets are O(1) appends (the
-  /// bucket is lazily sorted once when the cursor reaches it), so clustered
-  /// timestamps never degenerate into per-insert memmoves; pop is an O(1)
-  /// index bump.
+  /// [win_start + (i << shift), win_start + ((i + 1) << shift)) and is a
+  /// singly linked list of slot indices through nodes_, in append order.
+  /// Appends are O(1) whatever their key, so clustered timestamps never
+  /// degenerate into per-insert memmoves; a list whose appends arrived out of
+  /// (when, seq) order is `dirty` and gets one sort when the cursor reaches
+  /// it. 12 bytes per bucket, with no capacity of its own.
   struct Bucket {
-    std::vector<Entry> entries;
-    std::size_t head{0};
+    std::uint32_t head{kNil};
+    std::uint32_t tail{kNil};
     bool dirty{false};
   };
-  /// Mutable so the logically-const peek path can commit a pending lazy sort.
+  /// Mutable so the logically-const peek path can load the drain buffer.
   mutable std::vector<Bucket> buckets_;
-  /// Sorts buckets_[idx]'s live suffix if an out-of-order append left it dirty.
-  /// Inline dirty check so hot pop/peek paths pay one branch when clean; the
-  /// actual sort lives out of line.
-  void ensure_sorted(std::size_t idx) const {
-    Bucket& bucket = buckets_[idx];
-    if (bucket.dirty) sort_bucket(bucket);
-  }
-  static void sort_bucket(Bucket& bucket);
-  std::vector<std::uint64_t> occupancy_;  ///< bit i set <=> buckets_[i] non-empty
-  std::size_t bucket_count_{0};           ///< power of two (0 until first use)
-  int shift_{20};                         ///< bucket width = 1 << shift_ ns (~1 ms)
+  /// Parallel to slots_ (same index, same high-water growth).
+  std::vector<Node> nodes_;
+  /// The bucket at cursor_, sorted, once the cursor reaches it: pops read
+  /// [drain_head_, size) in order, and inserts into that bucket are ordered
+  /// inserts here. Non-empty exactly while cursor_'s bucket is being drained
+  /// (its list is then empty but its occupancy bit stays set). One buffer for
+  /// the whole calendar: its capacity is bounded by the largest bucket (at
+  /// most twice the peak pending population), not by the run's history.
+  mutable std::vector<Entry> drain_;
+  std::size_t drain_head_{0};
+  /// bit i set <=> buckets_[i] non-empty (counting a loaded drain buffer)
+  std::vector<std::uint64_t> occupancy_;
+  std::size_t bucket_count_{0};  ///< power of two (0 until first use)
+  int shift_{20};                ///< bucket width = 1 << shift_ ns (~1 ms)
   std::int64_t win_start_ns_{0};
   /// Buckets below the cursor are empty. Mutable: peek_min_when() memoizes
   /// its occupancy scan here without changing observable state.
   mutable std::size_t cursor_{0};
 
-  /// Calendar level 2 / heap impl: a binary min-heap on (when, seq). The
-  /// calendar parks far-future events here; the reference impl keeps
-  /// everything here.
+  /// Calendar level 2: a binary min-heap on (when, seq) where far-future
+  /// events wait until a migration moves them into the window.
   std::vector<Entry> overflow_;
 
   /// Execution-density estimate migrate_overflow() sizes bucket width from:
@@ -227,8 +242,7 @@ class Scheduler {
   /// every completion then ordered-inserted its arrival into the bucket
   /// being drained, degenerating the calendar into one giant sorted array
   /// (terabytes of memmove over a bench run). Derived purely from popped
-  /// timestamps, so it is deterministic and identical across queue
-  /// implementations.
+  /// timestamps, so it is deterministic.
   std::int64_t window_gap_ewma_ns_{-1};  ///< -1 until the first full window
   std::int64_t last_pop_when_ns_{0};
   std::int64_t window_first_pop_ns_{0};  ///< first pop of the current window

@@ -24,9 +24,13 @@ void MtraceDiscovery::track_session(net::SessionId session, net::LayerId max_lay
 }
 
 void MtraceDiscovery::register_receiver(net::SessionId session, net::NodeId receiver) {
-  auto& list = receivers_[session];
-  if (std::find(list.begin(), list.end(), receiver) != list.end()) return;
-  list.push_back(receiver);
+  SessionReceivers& registered = receivers_[session];
+  if (registered.member.size() <= receiver) {
+    registered.member.resize(std::max<std::size_t>(receiver + 1, network_.node_count()), 0);
+  }
+  if (registered.member[receiver] != 0) return;
+  registered.member[receiver] = 1;
+  registered.order.push_back(receiver);
 
   // Responder: reply with the source->receiver hop path and layer membership.
   // The path comes from the routing state real mtrace would collect hop by
@@ -72,9 +76,9 @@ void MtraceDiscovery::start() {
 void MtraceDiscovery::run_round() {
   ++round_;
   pending_.clear();
-  for (const auto& [session, receivers] : receivers_) {
+  for (const auto& [session, registered] : receivers_) {
     if (tracked_.find(session) == tracked_.end()) continue;
-    for (const net::NodeId receiver : receivers) {
+    for (const net::NodeId receiver : registered.order) {
       auto query = std::make_shared<MtraceQuery>();
       query->session = session;
       query->receiver = receiver;

@@ -79,10 +79,15 @@ class MtraceDiscovery final : public TopologyProvider {
   mcast::MulticastRouter& mcast_;
   transport::DemuxRegistry& demuxes_;
   Config config_;
+  /// One session's registered receivers.
+  struct SessionReceivers {
+    std::vector<net::NodeId> order;    ///< registration order, the order queries go out
+    std::vector<std::uint8_t> member;  ///< NodeId-indexed: 1 if the node is in `order`
+  };
   // Ordered: run_round() iterates these and its iteration order decides the
   // order queries enter the network, which must be deterministic.
   std::map<net::SessionId, net::LayerId> tracked_;
-  std::map<net::SessionId, std::vector<net::NodeId>> receivers_;
+  std::map<net::SessionId, SessionReceivers> receivers_;
   std::vector<MtraceResponse> pending_;  ///< responses of the current round
   std::unordered_map<net::SessionId, TopologySnapshot> latest_;
   std::uint32_t round_{0};

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 namespace tsim::core {
 namespace {
@@ -265,6 +267,39 @@ TEST_F(TopoSenseFixture, DeterministicGivenSameSeedAndInputs) {
     }
     t += 1_s;
   }
+}
+
+// A copy's cached trees would point into the original's per-node memory, so
+// copying is deleted; moving keeps the map nodes, so it stays available.
+static_assert(!std::is_copy_constructible_v<TopoSense>);
+static_assert(!std::is_copy_assignable_v<TopoSense>);
+static_assert(std::is_move_constructible_v<TopoSense>);
+static_assert(std::is_move_assignable_v<TopoSense>);
+
+TEST_F(TopoSenseFixture, MovedInstanceContinuesLikeItsTwin) {
+  TopoSense twin{test_params(), sim::Rng{7}};
+  TopoSense original{test_params(), sim::Rng{7}};
+  const auto interval = [&](TopoSense& instance, int i) {
+    const double loss = (i % 5 == 4) ? 0.12 : 0.0;
+    return instance.run_interval(single(loss, 3, bytes_for(params.layers, 3)),
+                                 Time::seconds(std::int64_t{i + 1}));
+  };
+  const auto expect_same = [](const AlgorithmOutput& a, const AlgorithmOutput& b) {
+    ASSERT_EQ(a.prescriptions.size(), b.prescriptions.size());
+    for (std::size_t j = 0; j < a.prescriptions.size(); ++j) {
+      EXPECT_EQ(a.prescriptions[j].subscription, b.prescriptions[j].subscription);
+    }
+  };
+  int i = 0;
+  for (; i < 8; ++i) expect_same(interval(original, i), interval(twin, i));
+
+  // The moved-to instance carries the cached trees and node memories along.
+  TopoSense moved{std::move(original)};
+  for (; i < 16; ++i) expect_same(interval(moved, i), interval(twin, i));
+
+  TopoSense assigned{test_params(), sim::Rng{1}};
+  assigned = std::move(moved);
+  for (; i < 24; ++i) expect_same(interval(assigned, i), interval(twin, i));
 }
 
 }  // namespace

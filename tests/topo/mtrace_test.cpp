@@ -65,6 +65,23 @@ TEST_F(MtraceFixture, QueriesAreLinearInReceivers) {
   EXPECT_EQ(discovery->responses_received(), 22u);
 }
 
+TEST_F(MtraceFixture, DuplicateRegistrationIsIgnored) {
+  mcast.join(a, net::GroupAddr{0, 1});
+  mcast.join(b, net::GroupAddr{0, 1});
+  discovery->register_receiver(0, a);
+  discovery->register_receiver(0, b);
+  discovery->register_receiver(0, a);
+  discovery->register_receiver(0, b);
+  discovery->start();
+  simulation.run_until(Time::seconds(10.5));
+  // One query and one responder per receiver, in first-registration order.
+  EXPECT_EQ(discovery->queries_sent(), 22u);
+  EXPECT_EQ(discovery->responses_received(), 22u);
+  const TopologySnapshot* snap = discovery->snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->receivers, (std::vector<net::NodeId>{a, b}));
+}
+
 TEST_F(MtraceFixture, NonSubscribedReceiverExcluded) {
   mcast.join(a, net::GroupAddr{0, 1});
   // b registered with the tool but never joined any group.
