@@ -738,24 +738,6 @@ ScaleCase run_star_sharded_case(int receivers, Time duration, std::size_t shards
 
 /// --- star_fluid: the fluid-engine scale tier --------------------------------
 
-/// Full closed loop (discovery, reports, suggestions stay packet-level) on the
-/// star topology with the selected traffic engine. Receivers start at
-/// subscription 5 (the access links' optimum) so the data plane carries its
-/// steady-state load from t=0 for both engines.
-std::unique_ptr<scenarios::Scenario> run_star_closed_loop(int receivers, Time duration,
-                                                          scenarios::TrafficEngine engine) {
-  scenarios::ScenarioConfig config;
-  config.seed = 11;
-  config.duration = duration;
-  config.traffic.engine = engine;
-  config.control.initial_subscription = 5;
-  scenarios::StarOptions star;
-  star.receivers = receivers;
-  auto scenario = scenarios::ScenarioBuilder(config).star(star).build();
-  scenario->run();
-  return scenario;
-}
-
 /// The subscription-timeline fingerprint is weak on the star (all receivers
 /// share one bottleneck class, so most timelines are identical); fold in every
 /// receiver's delivered/lost totals, which cover the fluid integerization and
@@ -774,6 +756,30 @@ std::uint64_t star_fluid_fingerprint(scenarios::Scenario& s) {
   return h;
 }
 
+/// Full closed loop (discovery, reports, suggestions stay packet-level) on the
+/// star topology with the selected traffic engine. Receivers start at
+/// subscription 5 (the access links' optimum) so the data plane carries its
+/// steady-state load from t=0 for both engines. Only the scalars survive the
+/// call: the scenario is destroyed before the caller builds the next one, so
+/// the process peak RSS is that of one closed loop. `wall_s` covers build and
+/// run, not the fingerprint or the teardown.
+StarRun run_star_closed_loop(int receivers, Time duration, scenarios::TrafficEngine engine) {
+  const auto start = Clock::now();
+  scenarios::ScenarioConfig config;
+  config.seed = 11;
+  config.duration = duration;
+  config.traffic.engine = engine;
+  config.control.initial_subscription = 5;
+  scenarios::StarOptions star;
+  star.receivers = receivers;
+  auto scenario = scenarios::ScenarioBuilder(config).star(star).build();
+  scenario->run();
+  const double wall = seconds_since(start);
+  return StarRun{star_fluid_fingerprint(*scenario),
+                 scenario->simulation().scheduler().executed_events(),
+                 scenario->network().routes().computed_rows(), wall};
+}
+
 /// The tentpole probe: the fluid engine must carry the 100k-receiver closed
 /// loop with >= 20x fewer scheduler events per simulated second than the
 /// packet engine on the identical topology. The fluid run executes twice
@@ -781,13 +787,11 @@ std::uint64_t star_fluid_fingerprint(scenarios::Scenario& s) {
 /// horizon — its per-sim-second event rate is steady state, so one second is
 /// enough to normalize against.
 ScaleCase run_star_fluid_case(int receivers, Time fluid_duration, Time packet_duration) {
-  const auto start = Clock::now();
-  auto first =
+  const StarRun first =
       run_star_closed_loop(receivers, fluid_duration, scenarios::TrafficEngine::kFluid);
-  const double wall = seconds_since(start);
-  auto second =
+  const StarRun second =
       run_star_closed_loop(receivers, fluid_duration, scenarios::TrafficEngine::kFluid);
-  auto packet =
+  const StarRun packet =
       run_star_closed_loop(receivers, packet_duration, scenarios::TrafficEngine::kPacket);
 
   ScaleCase c;
@@ -795,18 +799,16 @@ ScaleCase run_star_fluid_case(int receivers, Time fluid_duration, Time packet_du
   c.kind = "closed_loop";
   c.receivers = receivers;
   c.sim_seconds = fluid_duration.as_seconds();
-  c.wall_s = wall;
-  c.events = first->simulation().scheduler().executed_events();
-  c.events_per_sec = static_cast<double>(c.events) / wall;
-  c.fingerprint = star_fluid_fingerprint(*first);
-  c.fingerprint_second = star_fluid_fingerprint(*second);
-  c.deterministic = c.fingerprint == c.fingerprint_second &&
-                    c.events == second->simulation().scheduler().executed_events();
-  c.routing_rows = first->network().routes().computed_rows();
-  const auto packet_events = packet->simulation().scheduler().executed_events();
+  c.wall_s = first.wall_s;
+  c.events = first.events;
+  c.events_per_sec = static_cast<double>(c.events) / first.wall_s;
+  c.fingerprint = first.fingerprint;
+  c.fingerprint_second = second.fingerprint;
+  c.deterministic = c.fingerprint == c.fingerprint_second && c.events == second.events;
+  c.routing_rows = first.routing_rows;
   c.fluid_events_per_sim_s = static_cast<double>(c.events) / fluid_duration.as_seconds();
   c.packet_events_per_sim_s =
-      static_cast<double>(packet_events) / packet_duration.as_seconds();
+      static_cast<double>(packet.events) / packet_duration.as_seconds();
   c.event_reduction = *c.packet_events_per_sim_s / *c.fluid_events_per_sim_s;
   c.peak_rss = peak_rss_bytes();
   return c;

@@ -223,8 +223,11 @@ BENCHMARK(BM_ControllerInterval)->Arg(30'000)->Arg(100'000)->Unit(benchmark::kMi
 void BM_FluidStep(benchmark::State& state) {
   // One fluid integration step (pass A, the per-link queue step, pass B and
   // the member credits) on a `range`-receiver fluid star held at five layers
-  // with no controller, so the step is the only event. Built and warmed up
-  // untimed.
+  // with no controller. Built and warmed up untimed. The member credits are
+  // dense accumulator arithmetic: no endpoint is called from the step. The
+  // endpoints read their totals when their 1 s report windows close, so one
+  // iteration in ten also runs every receiver's window close and its fold,
+  // and the cost moved out of the step is still timed here.
   scenarios::ScenarioConfig config;
   config.seed = 1;
   config.traffic.engine = scenarios::TrafficEngine::kFluid;

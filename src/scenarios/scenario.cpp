@@ -295,9 +295,7 @@ void Scenario::finalize() {
     fluid_engine_ =
         std::make_unique<traffic::FluidEngine>(*simulation_, *network_, *mcast_, ecfg);
     for (const auto& source : fluid_sources_) fluid_engine_->add_source(source.get());
-    for (const auto& endpoint : endpoints_) {
-      fluid_engine_->register_sink(endpoint->config().node, endpoint.get());
-    }
+    for (const auto& endpoint : endpoints_) endpoint->attach_fluid(fluid_engine_.get());
   }
 
   for (const auto& source : sources_) source->start();

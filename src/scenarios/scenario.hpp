@@ -340,8 +340,8 @@ class Scenario {
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
   /// Built in finalize() when traffic.engine is kFluid. Holds non-owning
-  /// pointers to fluid_sources_ and endpoints_ (as FluidSinks); safe because
-  /// no events run during destruction.
+  /// pointers to fluid_sources_, and endpoints_ point back at it to read
+  /// their member totals; safe because no events run during destruction.
   std::unique_ptr<traffic::FluidEngine> fluid_engine_;
   std::vector<std::unique_ptr<traffic::CbrFlow>> cross_flows_;
   std::vector<std::unique_ptr<fault::FaultInjector>> fault_injectors_;

@@ -24,11 +24,6 @@ FluidEngine::FluidEngine(sim::Simulation& simulation, net::Network& network,
 
 void FluidEngine::add_source(FluidSource* source) { sources_.push_back(source); }
 
-void FluidEngine::register_sink(net::NodeId node, FluidSink* sink) {
-  if (sinks_by_node_.size() <= node) sinks_by_node_.resize(node + 1);
-  sinks_by_node_[node].push_back(sink);
-}
-
 void FluidEngine::add_background_flow(net::NodeId src, net::NodeId dst,
                                       units::BitsPerSec rate, sim::Time start,
                                       sim::Time stop) {
@@ -128,26 +123,26 @@ void FluidEngine::credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link,
       units::PacketCount{whole_delta(before.dropped_acc, cell.dropped_acc)});
 }
 
-void FluidEngine::credit_member(net::GroupAddr group, std::uint32_t gid, net::NodeId node,
-                                double rate, double source_rate, double packet_size) {
-  if (node >= sinks_by_node_.size() || sinks_by_node_[node].empty()) return;
+void FluidEngine::credit_member(std::uint32_t gid, net::NodeId node, double rate,
+                                double source_rate, double packet_size) {
   const double dt_s = config_.step.as_seconds();
   MemberCredit& mc = members_[gid][node];
-  const MemberCredit before = mc;
   mc.byte_acc += rate * dt_s / 8.0;
   mc.recv_acc += rate * dt_s / (8.0 * packet_size);
   mc.lost_acc += (source_rate - rate) * dt_s / (8.0 * packet_size);
-  const units::Bytes d_bytes{whole_delta(before.byte_acc, mc.byte_acc)};
-  const units::PacketCount d_recv{whole_delta(before.recv_acc, mc.recv_acc)};
-  const units::PacketCount d_lost{whole_delta(before.lost_acc, mc.lost_acc)};
-  if (d_bytes.count() == 0 && d_recv.count() == 0 && d_lost.count() == 0) return;
-  for (FluidSink* sink : sinks_by_node_[node]) {
-    sink->on_fluid_delivery(group, d_bytes, d_recv, d_lost);
-  }
 }
 
-void FluidEngine::walk_credit(const mcast::GroupTree& tree, net::GroupAddr group,
-                              std::uint32_t gid, double rate, double source_packet_size) {
+FluidEngine::MemberTotals FluidEngine::member_totals(std::uint32_t gid,
+                                                     net::NodeId node) const {
+  if (gid >= members_.size() || node >= row_nodes_) return {};
+  const MemberCredit& mc = members_[gid][node];
+  return {units::Bytes{static_cast<std::uint64_t>(mc.byte_acc)},
+          units::PacketCount{static_cast<std::uint64_t>(mc.recv_acc)},
+          units::PacketCount{static_cast<std::uint64_t>(mc.lost_acc)}};
+}
+
+void FluidEngine::walk_credit(const mcast::GroupTree& tree, std::uint32_t gid, double rate,
+                              double source_packet_size) {
   auto& cells = cells_[gid];
   stack_.clear();
   // HOTPATH_ALLOW(container-growth: walk stack bounded by tree edges; capacity reserved by ensure_capacity)
@@ -158,7 +153,7 @@ void FluidEngine::walk_credit(const mcast::GroupTree& tree, net::GroupAddr group
     if (node >= tree.fan.size()) continue;
     const mcast::GroupTree::FanSlot& slot = tree.fan[node];
     if (slot.deliver_locally != 0) {
-      credit_member(group, gid, node, inflow, rate, source_packet_size);
+      credit_member(gid, node, inflow, rate, source_packet_size);
     }
     for (std::uint32_t i = 0; i < slot.count; ++i) {
       const net::LinkId link = tree.fan_links[slot.offset + i];
@@ -220,8 +215,7 @@ void FluidEngine::step() {
         } else {
           const std::uint32_t gid = network_.intern_group(group);
           ensure_capacity();
-          walk_credit(*tree, group, gid, rate,
-                      static_cast<double>(cfg.layers.packet_size_bytes));
+          walk_credit(*tree, gid, rate, static_cast<double>(cfg.layers.packet_size_bytes));
         }
       }
     }

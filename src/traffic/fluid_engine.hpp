@@ -11,7 +11,6 @@
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
-#include "traffic/fluid_sink.hpp"
 #include "traffic/fluid_source.hpp"
 
 namespace tsim::traffic {
@@ -28,8 +27,12 @@ namespace tsim::traffic {
 ///     (net::fluid_queue_step) to get this step's loss fraction.
 ///  3. Pass B re-walks with this step's loss, crediting integerized
 ///     per-(group,link) delivered/dropped deltas into the Network's dense
-///     tables + LinkHot counters (Network::credit_fluid_link), and delivering
-///     per-member byte/packet/loss credits to registered FluidSinks.
+///     tables + LinkHot counters (Network::credit_fluid_link), and adding
+///     each member's byte/packet/loss volume to its cumulative accumulator.
+///     Nothing is pushed to receivers: a ReceiverEndpoint reads its members'
+///     whole totals (member_totals) when it needs them, and the difference
+///     of two reads is exactly what per-step integer credits would have
+///     summed to.
 ///
 /// Control traffic (reports, suggestions, discovery) stays packet-level on
 /// the same links; the fluid backlog lives outside the real queues, so
@@ -60,10 +63,6 @@ class FluidEngine {
   /// Registers a source; not owned. All sources must be added before start().
   void add_source(FluidSource* source);
 
-  /// Registers a per-node delivery sink (a ReceiverEndpoint). Multiple sinks
-  /// per node are allowed (each filters by session).
-  void register_sink(net::NodeId node, FluidSink* sink);
-
   /// Unicast background (cross-traffic) flow at a constant rate: resolved to
   /// its directed link path on first step and credited into LinkHot counters
   /// only (no group cells) — it competes for fluid capacity like CbrFlow
@@ -73,6 +72,34 @@ class FluidEngine {
 
   /// Schedules the first integration step one step-width from now.
   void start();
+
+  /// Whole volumes delivered to one (group, member node) since the run
+  /// began: the floors of the member's exact cumulative volumes. `received`
+  /// and `lost` partition the packets the source emitted for the member
+  /// while the tree delivered to it; `bytes` is the payload of the received
+  /// share.
+  struct MemberTotals {
+    units::Bytes bytes{};
+    units::PacketCount received{};
+    units::PacketCount lost{};
+
+    MemberTotals& operator+=(const MemberTotals& rhs) {
+      bytes += rhs.bytes;
+      received += rhs.received;
+      lost += rhs.lost;
+      return *this;
+    }
+    MemberTotals& operator-=(const MemberTotals& rhs) {
+      bytes -= rhs.bytes;
+      received -= rhs.received;
+      lost -= rhs.lost;
+      return *this;
+    }
+  };
+
+  /// Totals of member `node` in the group with stats id `gid`; zeros when
+  /// no step has sized that group's row or node yet.
+  [[nodiscard]] MemberTotals member_totals(std::uint32_t gid, net::NodeId node) const;
 
   [[nodiscard]] std::uint64_t steps_executed() const { return steps_; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -98,8 +125,9 @@ class FluidEngine {
     double dropped_acc{0.0};    ///< cumulative dropped volume, in packets
   };
 
-  /// Exact cumulative volumes delivered to one (group, member node), credited
-  /// to its sinks the same floor(after) - floor(before) way as Cell.
+  /// Exact cumulative volumes delivered to one (group, member node). Readers
+  /// take the floors (member_totals), so like Cell the integer totals never
+  /// drift more than one packet/byte from the exact volume.
   struct MemberCredit {
     double byte_acc{0.0};
     double recv_acc{0.0};
@@ -132,12 +160,12 @@ class FluidEngine {
   [[nodiscard]] double effective_rate(FluidSource& source, net::LayerId layer,
                                       sim::Time t0, sim::Time t1);
   HOT_PATH void walk_offered(const mcast::GroupTree& tree, double rate);
-  HOT_PATH void walk_credit(const mcast::GroupTree& tree, net::GroupAddr group,
-                            std::uint32_t gid, double rate, double source_packet_size);
+  HOT_PATH void walk_credit(const mcast::GroupTree& tree, std::uint32_t gid, double rate,
+                            double source_packet_size);
   void credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link, double inflow,
                    double delivered, double packet_size);
-  void credit_member(net::GroupAddr group, std::uint32_t gid, net::NodeId node, double rate,
-                     double source_rate, double packet_size);
+  void credit_member(std::uint32_t gid, net::NodeId node, double rate, double source_rate,
+                     double packet_size);
   HOT_PATH_EXEMPT(
       "lazy one-shot path resolution per background flow, after routes first converge; "
       "steps after that reuse flow.path_links")
@@ -148,7 +176,6 @@ class FluidEngine {
   mcast::MulticastRouter& mcast_;
   Config config_;
   std::vector<FluidSource*> sources_;
-  std::vector<std::vector<FluidSink*>> sinks_by_node_;
   std::vector<BackgroundFlow> background_;
   std::vector<LinkState> link_state_;
   std::vector<net::LinkId> touched_;

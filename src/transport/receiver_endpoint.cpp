@@ -5,6 +5,16 @@
 
 namespace tsim::transport {
 
+namespace {
+/// Credits fluid volume to a window's counters.
+void add_fluid(ReceiverEndpoint::WindowStats& window,
+               const traffic::FluidEngine::MemberTotals& fluid) {
+  window.received_packets += fluid.received;
+  window.lost_packets += fluid.lost;
+  window.bytes += fluid.bytes;
+}
+}  // namespace
+
 ReceiverEndpoint::ReceiverEndpoint(sim::Simulation& simulation, net::Network& network,
                                    mcast::MulticastRouter& mcast, PacketDemux& demux,
                                    Config config)
@@ -49,6 +59,9 @@ void ReceiverEndpoint::set_subscription(int level) {
     for (int l = subscription_ + 1; l <= level; ++l) {
       mcast_.join(config_.node, net::GroupAddr{config_.session, static_cast<net::LayerId>(l)});
       tracks_[l - 1].active = true;
+      // Fluid volume the layer's group delivered here before this join is
+      // not ours: start the layer at its current totals.
+      fluid_seen_ += fluid_layer_totals(l);
       // Sequence tracking restarts: packets sent while unsubscribed must not
       // count as loss.
       tracks_[l - 1].have_prev_max = false;
@@ -63,6 +76,9 @@ void ReceiverEndpoint::set_subscription(int level) {
       // discarding the dropped layer's gap here under-reports exactly when
       // the controller most needs the signal.
       fold_track_loss(tracks_[l - 1]);
+      // Dropping the layer from both the baseline and the summed totals
+      // keeps what it had pending; what it gains from now on is never read.
+      fluid_seen_ -= fluid_layer_totals(l);
       tracks_[l - 1] = LayerTrack{};
     }
   }
@@ -88,19 +104,37 @@ void ReceiverEndpoint::handle_data(const net::Packet& packet) {
   total_bytes_ += units::Bytes{packet.size_bytes};
 }
 
-void ReceiverEndpoint::on_fluid_delivery(net::GroupAddr group, units::Bytes bytes,
-                                         units::PacketCount received,
-                                         units::PacketCount lost) {
-  if (group.session != config_.session) return;
-  const int layer = group.layer;
-  if (layer < 1 || layer > config_.layers.num_layers) return;
-  if (!tracks_[layer - 1].active) return;  // engine lag after a leave
+ReceiverEndpoint::WindowStats ReceiverEndpoint::window() const {
+  WindowStats window = window_;
+  add_fluid(window, fluid_pending());
+  return window;
+}
 
-  window_.received_packets += received;
-  window_.lost_packets += lost;
-  window_.bytes += bytes;
-  total_packets_ += received;
-  total_bytes_ += bytes;
+ReceiverEndpoint::FluidTotals ReceiverEndpoint::fluid_layer_totals(int layer) const {
+  if (fluid_ == nullptr) return {};
+  const std::uint32_t gid =
+      network_.find_group_id(net::GroupAddr{config_.session, static_cast<net::LayerId>(layer)});
+  return fluid_->member_totals(gid, config_.node);
+}
+
+ReceiverEndpoint::FluidTotals ReceiverEndpoint::fluid_pending() const {
+  if (fluid_ == nullptr) return {};
+  // Only subscribed layers are read, so whatever the engine still delivers
+  // to this node after a leave is never counted.
+  FluidTotals now{};
+  for (int l = 1; l <= config_.layers.num_layers; ++l) {
+    if (tracks_[l - 1].active) now += fluid_layer_totals(l);
+  }
+  now -= fluid_seen_;
+  return now;
+}
+
+void ReceiverEndpoint::fold_fluid() {
+  const FluidTotals pending = fluid_pending();
+  add_fluid(window_, pending);
+  total_packets_ += pending.received;
+  total_bytes_ += pending.bytes;
+  fluid_seen_ += pending;
 }
 
 void ReceiverEndpoint::handle_suggestion(const net::Packet& packet) {
@@ -124,6 +158,7 @@ void ReceiverEndpoint::fold_track_loss(const LayerTrack& track) {
 
 void ReceiverEndpoint::close_window() {
   if (stopped_) return;  // the final window was closed at config_.stop
+  fold_fluid();
   // Derive per-layer expected counts from seq-number progress (RTP
   // receiver-report style) and fold into window loss.
   for (LayerTrack& track : tracks_) {

@@ -7,7 +7,7 @@
 #include "mcast/multicast_router.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
-#include "traffic/fluid_sink.hpp"
+#include "traffic/fluid_engine.hpp"
 #include "traffic/layer_spec.hpp"
 #include "transport/control_messages.hpp"
 #include "transport/demux.hpp"
@@ -20,12 +20,17 @@ namespace tsim::transport {
 /// domain controller as real unicast packets (they share queues with data and
 /// can be lost).
 ///
-/// Under the fluid traffic engine the endpoint is a traffic::FluidSink: the
-/// engine credits integrated byte/packet/loss deltas directly into the open
-/// report window (loss arrives pre-computed from the fluid loss fractions, so
-/// the sequence-gap machinery stays idle), and everything downstream —
+/// Under the fluid traffic engine the endpoint pulls rather than being
+/// pushed to: it reads the engine's whole byte/packet/loss totals for its
+/// subscribed layers (traffic::FluidEngine::member_totals) and folds what
+/// they gained since the last fold into the open report window. Loss arrives
+/// pre-computed from the fluid loss fractions, so the sequence-gap machinery
+/// stays idle. One running baseline, the summed totals of the subscribed
+/// layers as of the last fold, is kept up to date on join, leave and window
+/// close; every read adds what is pending beyond it, so the endpoint shows
+/// the same integers a per-step push would have, and everything downstream —
 /// reports, ReceiverAgent, ControllerAgent — is unchanged.
-class ReceiverEndpoint : public traffic::FluidSink {
+class ReceiverEndpoint {
  public:
   struct Config {
     net::NodeId node{net::kInvalidNode};
@@ -47,6 +52,11 @@ class ReceiverEndpoint : public traffic::FluidSink {
   /// Joins the initial layers and starts the report timer at config.start.
   void start();
 
+  /// Makes the endpoint read its fluid deliveries from `engine` (fluid
+  /// scenarios; call before start()). The engine must outlive the endpoint's
+  /// last read.
+  void attach_fluid(const traffic::FluidEngine* engine) { fluid_ = engine; }
+
   /// Moves the subscription to exactly `level` layers (clamped to
   /// [0, num_layers]), joining or leaving groups as needed.
   void set_subscription(int level);
@@ -64,15 +74,20 @@ class ReceiverEndpoint : public traffic::FluidSink {
       return units::LossFraction::from_counts(lost_packets, received_packets + lost_packets);
     }
   };
-  [[nodiscard]] const WindowStats& window() const { return window_; }
+  [[nodiscard]] WindowStats window() const;
   [[nodiscard]] const WindowStats& last_completed_window() const { return last_window_; }
-  [[nodiscard]] units::Bytes total_bytes() const { return total_bytes_; }
-  [[nodiscard]] units::PacketCount total_packets() const { return total_packets_; }
+  [[nodiscard]] units::Bytes total_bytes() const {
+    return total_bytes_ + fluid_pending().bytes;
+  }
+  [[nodiscard]] units::PacketCount total_packets() const {
+    return total_packets_ + fluid_pending().received;
+  }
   [[nodiscard]] units::PacketCount total_lost_packets() const { return total_lost_packets_; }
-  /// Lifetime loss fraction across all closed windows.
+  /// Lifetime loss fraction: loss of the closed windows over everything
+  /// received plus that loss.
   [[nodiscard]] units::LossFraction lifetime_loss_rate() const {
     return units::LossFraction::from_counts(total_lost_packets_,
-                                            total_packets_ + total_lost_packets_);
+                                            total_packets() + total_lost_packets_);
   }
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -86,15 +101,9 @@ class ReceiverEndpoint : public traffic::FluidSink {
     suggestion_callbacks_.push_back(std::move(cb));
   }
 
-  /// traffic::FluidSink: integrated delivery from the fluid engine. Credits
-  /// the open window and lifetime totals exactly as handle_data does per
-  /// packet (lost feeds window_.lost_packets; close_window folds it into the
-  /// lifetime total, same as sequence-gap loss).
-  void on_fluid_delivery(net::GroupAddr group, units::Bytes bytes,
-                         units::PacketCount received, units::PacketCount lost) override;
-
  private:
   struct LayerTrack;
+  using FluidTotals = traffic::FluidEngine::MemberTotals;
 
   void handle_data(const net::Packet& packet);
   void handle_suggestion(const net::Packet& packet);
@@ -102,6 +111,17 @@ class ReceiverEndpoint : public traffic::FluidSink {
   void send_report();
   /// Adds `track`'s sequence-gap loss for the current window to window_.
   void fold_track_loss(const LayerTrack& track);
+  /// The fluid engine's totals for this node in `layer`'s group; zero
+  /// without a fluid engine.
+  [[nodiscard]] FluidTotals fluid_layer_totals(int layer) const;
+  /// What the subscribed layers gained since the last fold: their summed
+  /// totals minus fluid_seen_. Zero without a fluid engine.
+  [[nodiscard]] FluidTotals fluid_pending() const;
+  /// Credits fluid_pending() to the open window and the lifetime totals
+  /// exactly as handle_data does per packet (lost feeds
+  /// window_.lost_packets; close_window folds it into the lifetime total,
+  /// same as sequence-gap loss), and advances fluid_seen_ past it.
+  void fold_fluid();
 
   struct LayerTrack {
     bool active{false};
@@ -129,6 +149,12 @@ class ReceiverEndpoint : public traffic::FluidSink {
   units::PacketCount total_packets_{};
   units::PacketCount total_lost_packets_{};
   std::uint32_t report_seq_{0};
+  const traffic::FluidEngine* fluid_{nullptr};
+  /// Summed fluid totals of the subscribed layers as of the last fold: join
+  /// adds the joining layer's current totals and leave subtracts the leaving
+  /// layer's. One sum rather than a baseline per layer keeps it at 24 bytes
+  /// per endpoint.
+  FluidTotals fluid_seen_{};
   std::vector<std::function<void(sim::Time, int, int)>> change_callbacks_;
   std::vector<std::function<void(const Suggestion&)>> suggestion_callbacks_;
 };

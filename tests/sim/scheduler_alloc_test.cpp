@@ -4,44 +4,16 @@
 // period is incommensurate with any bucket width, so they drift across the
 // calendar's buckets and windows. After warm-up, further bursts must not
 // allocate at all, and the bytes the scheduler holds must not grow with
-// simulated time. This binary has its own ctest label (`alloc`) because the
-// replaced operator new applies to the whole process.
-#include <malloc.h>
-
-#include <atomic>
+// simulated time. The counting operator new lives in
+// tests/support/alloc_counter.cpp; this binary has its own ctest label
+// (`alloc`) because the replacement applies to the whole process.
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<std::int64_t> g_live_bytes{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc{};
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-  return p;
-}
-
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-  std::free(p);
-}
-
-void operator delete(void* p, std::size_t /*size*/) noexcept { operator delete(p); }
+#include "../support/alloc_counter.hpp"
 
 namespace tsim::sim {
 namespace {
@@ -101,9 +73,9 @@ TEST(SchedulerAlloc, SteadyStateBurstsDoNotAllocate) {
   scheduler.run_until(Time::milliseconds(100));  // warm-up: every high-water mark reached
 
   const std::uint64_t executed_before = scheduler.executed_events();
-  const std::uint64_t allocations_before = g_allocations.load();
+  const std::uint64_t allocations_before = testing::allocations();
   scheduler.run_until(Time::milliseconds(400));
-  const std::uint64_t allocations = g_allocations.load() - allocations_before;
+  const std::uint64_t allocations = testing::allocations() - allocations_before;
   const std::uint64_t executed = scheduler.executed_events() - executed_before;
 
   EXPECT_EQ(allocations, 0u) << "over " << executed << " events";
@@ -111,14 +83,14 @@ TEST(SchedulerAlloc, SteadyStateBurstsDoNotAllocate) {
 }
 
 TEST(SchedulerAlloc, LiveBytesFlatOverLongerHorizon) {
-  const std::int64_t baseline = g_live_bytes.load();
+  const std::int64_t baseline = testing::live_bytes();
   Scheduler scheduler;
   BurstLoad load{scheduler};
 
   scheduler.run_until(Time::milliseconds(150));
-  const std::int64_t short_horizon = g_live_bytes.load() - baseline;
+  const std::int64_t short_horizon = testing::live_bytes() - baseline;
   scheduler.run_until(Time::milliseconds(600));
-  const std::int64_t long_horizon = g_live_bytes.load() - baseline;
+  const std::int64_t long_horizon = testing::live_bytes() - baseline;
 
   EXPECT_EQ(long_horizon, short_horizon)
       << "scheduler memory grew from " << short_horizon << " to " << long_horizon
@@ -132,7 +104,7 @@ TEST(SchedulerAlloc, LiveBytesFlatOverLongerHorizon) {
 /// must track those two live entries, not every entry that has passed
 /// through the bucket.
 TEST(SchedulerAlloc, DrainBufferTracksLiveEntriesNotBucketHistory) {
-  const std::int64_t baseline = g_live_bytes.load();
+  const std::int64_t baseline = testing::live_bytes();
   Scheduler scheduler;
   std::uint64_t fired = 0;
   const auto chain = [&](auto&& self) -> void {
@@ -143,9 +115,9 @@ TEST(SchedulerAlloc, DrainBufferTracksLiveEntriesNotBucketHistory) {
   scheduler.schedule_at(Time::nanoseconds(1'000), [&] { chain(chain); });
 
   scheduler.run_until(Time::nanoseconds(2'000));
-  const std::int64_t short_horizon = g_live_bytes.load() - baseline;
+  const std::int64_t short_horizon = testing::live_bytes() - baseline;
   scheduler.run_until(Time::nanoseconds(200'000));
-  const std::int64_t long_horizon = g_live_bytes.load() - baseline;
+  const std::int64_t long_horizon = testing::live_bytes() - baseline;
 
   EXPECT_EQ(scheduler.pending_events(), 2u);
   EXPECT_EQ(long_horizon, short_horizon)
