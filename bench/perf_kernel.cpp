@@ -6,7 +6,6 @@
 // simulated minutes and depend on it.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -16,7 +15,6 @@
 #include "scenarios/scenario_builder.hpp"
 #include "sim/simulation.hpp"
 #include "topo/provider.hpp"
-#include "transport/control_messages.hpp"
 #include "transport/demux.hpp"
 
 namespace {
@@ -196,19 +194,18 @@ void BM_ControllerInterval(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     for (const net::NodeId leaf : leaves) {
-      auto report = std::make_shared<transport::ReceiverReport>();
-      report->receiver = leaf;
-      report->subscription = 3;
-      report->loss_rate = units::LossFraction{(leaf % 7 == 0) ? 0.1 : 0.0};
-      report->bytes_received = units::Bytes{28'000};
-      report->received_packets = units::PacketCount{56};
-      report->window_start = next - interval;
-      report->window_end = next;
       net::Packet packet;
       packet.kind = net::PacketKind::kReport;
       packet.src = leaf;
       packet.dst = hub;
-      packet.control = std::move(report);
+      packet.control =
+          net::ReceiverReport{.receiver = leaf,
+                              .subscription = 3,
+                              .loss_rate = units::LossFraction{(leaf % 7 == 0) ? 0.1 : 0.0},
+                              .bytes_received = units::Bytes{28'000},
+                              .received_packets = units::PacketCount{56},
+                              .window_start = next - interval,
+                              .window_end = next};
       demux.dispatch(net::PacketRef::make(std::move(packet)));
     }
     state.ResumeTiming();

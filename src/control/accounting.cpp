@@ -2,7 +2,7 @@
 
 namespace tsim::control {
 
-void AccountingLedger::on_report(const transport::ReceiverReport& report) {
+void AccountingLedger::on_report(const net::ReceiverReport& report) {
   Account& account = accounts_[{report.session, report.receiver}];
   if (account.reports == 0) account.first_activity = report.window_start;
   account.bytes += report.bytes_received;

@@ -8,7 +8,6 @@
 #include "net/packet.hpp"
 #include "sim/time.hpp"
 #include "traffic/layer_spec.hpp"
-#include "transport/control_messages.hpp"
 
 namespace tsim::control {
 
@@ -34,7 +33,7 @@ class AccountingLedger {
   };
 
   /// Folds one receiver report into the ledger.
-  void on_report(const transport::ReceiverReport& report);
+  void on_report(const net::ReceiverReport& report);
 
   /// Account for one (session, receiver); a zero Account when unknown.
   [[nodiscard]] Account account(net::SessionId session, net::NodeId receiver) const;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <unordered_set>
+#include <variant>
 
 namespace tsim::control {
 
@@ -86,10 +86,10 @@ bool ControllerAgent::is_border(net::SessionId session, net::NodeId node) const 
   return borders_.count(key_of(session, node)) != 0;
 }
 
-transport::DomainSummary ControllerAgent::build_session_summary(net::SessionId session,
-                                                                sim::Time window_end) const {
-  transport::DomainSummary summary;
-  summary.direction = transport::DomainSummary::Direction::kDemand;
+net::DomainSummary ControllerAgent::build_session_summary(net::SessionId session,
+                                                          sim::Time window_end) const {
+  net::DomainSummary summary;
+  summary.direction = net::DomainSummary::Direction::kDemand;
   summary.session = session;
   summary.window_end = window_end;
   summary.window_start = window_end - config_.params.interval;
@@ -119,9 +119,9 @@ transport::DomainSummary ControllerAgent::build_session_summary(net::SessionId s
   return summary;
 }
 
-void ControllerAgent::ingest_border_summary(const transport::DomainSummary& summary) {
+void ControllerAgent::ingest_border_summary(const net::DomainSummary& summary) {
   if (!enabled_) return;  // a dead controller reads nothing off the wire
-  transport::ReceiverReport report;
+  net::ReceiverReport report;
   report.receiver = summary.border;
   report.session = summary.session;
   report.subscription = summary.subscription;
@@ -162,7 +162,7 @@ int ControllerAgent::capped_subscription(const core::Prescription& prescription)
 
 void ControllerAgent::handle_report(const net::Packet& packet) {
   if (!enabled_) return;  // a dead controller reads nothing off the wire
-  const auto* report = dynamic_cast<const transport::ReceiverReport*>(packet.control.get());
+  const auto* report = std::get_if<net::ReceiverReport>(&packet.control);
   if (report == nullptr) return;
   ++reports_received_;
   ledger_.on_report(*report);
@@ -190,7 +190,7 @@ ControllerAgent::ReportAggregate ControllerAgent::aggregate_reports(
   sim::Time span_end{};
   sim::Time span_start{};
   for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    const transport::ReceiverReport& r = *rit;
+    const net::ReceiverReport& r = *rit;
     if (r.window_end > window_end) continue;
     if (r.window_end <= oldest_usable) break;
     if (!agg.valid) {
@@ -295,18 +295,15 @@ void ControllerAgent::run_interval() {
 }
 
 void ControllerAgent::send_suggestion(const core::Prescription& prescription) {
-  auto suggestion = std::make_shared<transport::Suggestion>();
-  suggestion->receiver = prescription.receiver;
-  suggestion->session = prescription.session;
-  suggestion->subscription = capped_subscription(prescription);
-  suggestion->epoch = epoch_;
-
   net::Packet packet;
   packet.kind = net::PacketKind::kSuggestion;
-  packet.size_bytes = transport::kSuggestionPacketBytes;
+  packet.size_bytes = net::kSuggestionPacketBytes;
   packet.src = config_.node;
   packet.dst = prescription.receiver;
-  packet.control = std::move(suggestion);
+  packet.control = net::Suggestion{.receiver = prescription.receiver,
+                                   .session = prescription.session,
+                                   .subscription = capped_subscription(prescription),
+                                   .epoch = epoch_};
   network_.send_unicast(packet);
   ++suggestions_sent_;
 }

@@ -13,7 +13,6 @@
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "topo/provider.hpp"
-#include "transport/control_messages.hpp"
 #include "transport/demux.hpp"
 
 namespace tsim::control {
@@ -108,17 +107,17 @@ class ControllerAgent final : public AdaptationController {
   [[nodiscard]] bool is_border(net::SessionId session, net::NodeId node) const;
 
   /// Aggregates this domain's knowledge of `session` into a child->parent
-  /// summary (see transport::DomainSummary for the semantics of each field).
+  /// summary (see net::DomainSummary for the semantics of each field).
   /// `window_end` bounds which reports are folded in, exactly like an
   /// algorithm interval would.
-  [[nodiscard]] transport::DomainSummary build_session_summary(net::SessionId session,
-                                                               sim::Time window_end) const;
+  [[nodiscard]] net::DomainSummary build_session_summary(net::SessionId session,
+                                                         sim::Time window_end) const;
 
   /// Folds a child-domain demand summary into the report history as a
   /// synthetic report from the border pseudo-receiver. Does not touch the
   /// billing ledger or reports_received (those count real wire reports; the
   /// child domain already bills its own receivers).
-  void ingest_border_summary(const transport::DomainSummary& summary);
+  void ingest_border_summary(const net::DomainSummary& summary);
   [[nodiscard]] std::uint64_t summaries_ingested() const { return summaries_ingested_; }
 
   /// Upstream ceiling for `session` from the parent domain's prescription for
@@ -180,7 +179,7 @@ class ControllerAgent final : public AdaptationController {
   /// in O(1) instead of scanning the ordered list.
   std::map<net::SessionId, std::vector<std::uint8_t>> membership_;
   /// (session<<32|receiver) -> recent reports, newest at the back.
-  std::unordered_map<std::uint64_t, std::deque<transport::ReceiverReport>> reports_;
+  std::unordered_map<std::uint64_t, std::deque<net::ReceiverReport>> reports_;
   core::AlgorithmOutput last_output_;
   AccountingLedger ledger_;
   std::uint64_t reports_received_{0};

@@ -4,8 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
-
-#include "transport/control_messages.hpp"
+#include <variant>
 
 namespace tsim::control {
 
@@ -215,20 +214,19 @@ void DomainManager::send_summaries(std::size_t index) {
   if (child.agent->enabled()) {
     const Time now = simulation_.now();
     for (const auto& [session, receivers] : child.agent->registered()) {
-      transport::DomainSummary summary = child.agent->build_session_summary(session, now);
+      net::DomainSummary summary = child.agent->build_session_summary(session, now);
       if (summary.receiver_count == 0) continue;  // nothing learned yet
-      auto payload = std::make_shared<transport::DomainSummary>(summary);
-      payload->direction = transport::DomainSummary::Direction::kDemand;
-      payload->domain = static_cast<std::uint32_t>(index);
-      payload->border = child.domain.controller_node;
-      payload->summary_seq = ++child.summary_seq;
+      summary.direction = net::DomainSummary::Direction::kDemand;
+      summary.domain = static_cast<std::uint32_t>(index);
+      summary.border = child.domain.controller_node;
+      summary.summary_seq = ++child.summary_seq;
 
       net::Packet packet;
       packet.kind = net::PacketKind::kSummary;
-      packet.size_bytes = transport::kSummaryPacketBytes;
+      packet.size_bytes = net::kSummaryPacketBytes;
       packet.src = child.domain.controller_node;
       packet.dst = parent.domain.controller_node;
-      packet.control = std::move(payload);
+      packet.control = summary;
       network_.send_unicast(packet);
       ++summaries_sent_;
     }
@@ -237,12 +235,12 @@ void DomainManager::send_summaries(std::size_t index) {
 }
 
 void DomainManager::handle_summary(std::size_t index, const net::Packet& packet) {
-  const auto* summary = dynamic_cast<const transport::DomainSummary*>(packet.control.get());
+  const auto* summary = std::get_if<net::DomainSummary>(&packet.control);
   if (summary == nullptr) return;
   Entry& entry = entries_[index];
   if (entry.agent == nullptr) return;
   switch (summary->direction) {
-    case transport::DomainSummary::Direction::kDemand: {
+    case net::DomainSummary::Direction::kDemand: {
       if (child_of_border_.count(summary->border) == 0) {
         note_violation("demand summary for unknown border node " +
                        std::to_string(summary->border));
@@ -262,7 +260,7 @@ void DomainManager::handle_summary(std::size_t index, const net::Packet& packet)
       ++summaries_received_;
       break;
     }
-    case transport::DomainSummary::Direction::kCap: {
+    case net::DomainSummary::Direction::kCap: {
       entry.agent->set_session_cap(summary->session, summary->subscription);
       ++caps_received_;
       break;
@@ -276,19 +274,16 @@ void DomainManager::send_cap(std::size_t parent_index, const core::Prescription&
   const Entry& parent = entries_[parent_index];
   const Entry& child = entries_[it->second];
 
-  auto payload = std::make_shared<transport::DomainSummary>();
-  payload->direction = transport::DomainSummary::Direction::kCap;
-  payload->domain = static_cast<std::uint32_t>(parent_index);
-  payload->session = prescription.session;
-  payload->border = prescription.receiver;
-  payload->subscription = prescription.subscription;
-
   net::Packet packet;
   packet.kind = net::PacketKind::kSummary;
-  packet.size_bytes = transport::kSummaryPacketBytes;
+  packet.size_bytes = net::kSummaryPacketBytes;
   packet.src = parent.domain.controller_node;
   packet.dst = child.domain.controller_node;
-  packet.control = std::move(payload);
+  packet.control = net::DomainSummary{.direction = net::DomainSummary::Direction::kCap,
+                                      .domain = static_cast<std::uint32_t>(parent_index),
+                                      .session = prescription.session,
+                                      .border = prescription.receiver,
+                                      .subscription = prescription.subscription};
   network_.send_unicast(packet);
   ++caps_sent_;
 }

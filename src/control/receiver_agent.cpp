@@ -7,7 +7,7 @@ namespace tsim::control {
 ReceiverAgent::ReceiverAgent(sim::Simulation& simulation,
                              transport::ReceiverEndpoint& endpoint, Config config)
     : simulation_{simulation}, endpoint_{endpoint}, config_{config} {
-  endpoint_.on_suggestion([this](const transport::Suggestion& suggestion) {
+  endpoint_.on_suggestion([this](const net::Suggestion& suggestion) {
     // Stale-but-reordered suggestions are impossible over our FIFO links, but
     // a lost interval makes epochs skip; accept any epoch >= the last seen.
     if (suggestion.epoch < last_epoch_) return;

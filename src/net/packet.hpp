@@ -2,10 +2,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "core/units.hpp"
 #include "sim/time.hpp"
 
 namespace tsim::net {
@@ -53,16 +54,111 @@ enum class PacketKind : std::uint8_t {
 inline constexpr std::size_t kPacketKindCount =
     static_cast<std::size_t>(PacketKind::kSummary) + 1;
 
-/// Base class for control-plane payloads (defined by higher layers). Packets
-/// share payloads by pointer so multicast replication stays O(1) per copy.
-struct ControlPayload {
-  virtual ~ControlPayload() = default;
+// Control-plane payloads: plain values carried in Packet::control, one type
+// per non-data PacketKind (kTcpData and kTcpAck share TcpSegment). The
+// handler a PacketDemux runs for a kind reads its payload with std::get_if.
+
+/// RTCP-style receiver report (kReport), carried as a unicast packet from a
+/// receiver to its domain controller. Contains exactly what the paper's
+/// algorithm consumes: loss rate, bytes received and the current subscription
+/// level for one session, measured over one reporting window.
+struct ReceiverReport {
+  NodeId receiver{kInvalidNode};
+  SessionId session{0};
+  int subscription{0};               ///< layers currently subscribed (0..num_layers)
+  units::LossFraction loss_rate{};   ///< fraction of expected packets lost in the window
+  units::Bytes bytes_received{};     ///< data bytes received in the window
+  units::PacketCount received_packets{};
+  units::PacketCount lost_packets{};
+  sim::Time window_start{};
+  sim::Time window_end{};
+  std::uint32_t report_seq{0};
 };
+
+/// Controller -> receiver subscription suggestion (kSuggestion).
+struct Suggestion {
+  NodeId receiver{kInvalidNode};
+  SessionId session{0};
+  int subscription{0};     ///< suggested number of layers
+  std::uint32_t epoch{0};  ///< controller interval counter, newest wins
+};
+
+/// mtrace-style query (kMtraceQuery): "which path does session S take to
+/// you, and which layers do you hold?".
+struct MtraceQuery {
+  SessionId session{0};
+  NodeId receiver{kInvalidNode};
+  std::uint32_t round{0};
+};
+
+/// mtrace response (kMtraceResponse) carrying the hop path from the session
+/// source to the receiver and the receiver's per-layer membership — what the
+/// routers' mtrace blocks report hop by hop.
+struct MtraceResponse {
+  SessionId session{0};
+  NodeId receiver{kInvalidNode};
+  std::uint32_t round{0};
+  std::vector<NodeId> path{};  ///< source first, receiver last
+  int subscribed_layers{0};
+};
+
+/// Simplified TCP segment: a data segment (kTcpData) or a cumulative ACK
+/// (kTcpAck).
+struct TcpSegment {
+  std::uint64_t seq{0};      ///< kTcpData: segment index (not bytes)
+  std::uint64_t ack_seq{0};  ///< kTcpAck: next expected segment (cumulative)
+};
+
+/// Inter-domain summary (kSummary), exchanged between per-domain controllers
+/// through the simulated network, so summaries compete with data and can be
+/// lost like any other control traffic.
+///
+/// Child -> parent (kDemand): the child domain compresses everything it knows
+/// about its receivers of one session into a pseudo-receiver stationed at the
+/// domain's border node — max subscription as aggregate demand, the *minimum*
+/// loss across its receivers as the shared-upstream bottleneck estimate (loss
+/// every child receiver sees is loss the child domain cannot fix locally),
+/// and the best per-receiver goodput as the border's achievable bandwidth.
+/// The parent folds this into its own interval as an ordinary receiver report
+/// from the border node.
+///
+/// Parent -> child (kCap): the parent's prescription for the border
+/// pseudo-receiver, i.e. how many layers the shared tree can deliver into the
+/// child domain. The child clamps its own prescriptions to this cap, so a
+/// bottleneck above the border is still honored by receivers the parent has
+/// never heard of.
+struct DomainSummary {
+  enum class Direction : std::uint8_t {
+    kDemand,  ///< child -> parent aggregate
+    kCap,     ///< parent -> child subscription ceiling
+  };
+  Direction direction{Direction::kDemand};
+  std::uint32_t domain{0};                  ///< sender's domain index
+  SessionId session{0};
+  NodeId border{kInvalidNode};              ///< child domain's root node
+  int subscription{1};                      ///< demand (kDemand) or cap (kCap)
+  units::LossFraction shared_loss{};        ///< min loss across domain receivers
+  units::Bytes bytes_received{};            ///< best per-receiver window goodput
+  units::PacketCount received_packets{};
+  units::PacketCount lost_packets{};
+  std::uint32_t receiver_count{0};          ///< receivers folded into the aggregate
+  sim::Time window_start{};
+  sim::Time window_end{};
+  std::uint32_t summary_seq{0};
+};
+
+/// On-the-wire sizes used for the simulated control packets. Small relative
+/// to the 1000-byte data packets, as RTCP packets are.
+inline constexpr std::uint32_t kReportPacketBytes = 64;
+inline constexpr std::uint32_t kSuggestionPacketBytes = 64;
+inline constexpr std::uint32_t kSummaryPacketBytes = 64;
+inline constexpr std::uint32_t kMtracePacketBytes = 96;
 
 /// A simulated packet's fields. Callers build one of these per *send*; inside
 /// the network it travels behind a PacketRef flyweight, so replication down a
 /// multicast tree and the per-hop timer captures copy one pointer, not the
-/// struct (and never touch the control shared_ptr's refcount).
+/// struct. The control payload is held by value, last, so the datapath fields
+/// stay in the first cache line.
 struct Packet {
   std::uint64_t uid{0};
   PacketKind kind{PacketKind::kData};
@@ -73,17 +169,21 @@ struct Packet {
   GroupAddr group{};         ///< valid when multicast
   std::uint32_t seq{0};      ///< per-(session,layer) sequence number
   sim::Time sent_at{};
-  std::shared_ptr<const ControlPayload> control{};
   /// Dense stats index of `group` (Network::intern_group), stamped by
   /// send_multicast; kInvalidGroupStatsId until then.
   std::uint32_t group_stats_id{kInvalidGroupStatsId};
+  std::variant<std::monostate, ReceiverReport, Suggestion, MtraceQuery, MtraceResponse,
+               TcpSegment, DomainSummary>
+      control{};
 };
 
-/// Shared, immutable in-flight packet: one refcounted copy of the fields per
-/// send, handed around by 8-byte PacketRef values. The refcount is plain (not
-/// atomic) because a simulation is single-threaded by design — parallel
-/// benches run one whole simulation per thread, and nodes come from a
-/// thread_local pool, so a packet's life never crosses threads.
+/// Shared, immutable in-flight packet: one refcounted copy of the fields,
+/// control payload included, per send, handed around by 8-byte PacketRef
+/// values. This is the packet's only sharing mechanism. A released node
+/// keeps its last payload until the next make() overwrites it. The refcount
+/// is plain (not atomic) because a simulation is single-threaded by design —
+/// parallel benches run one whole simulation per thread, and nodes come from
+/// a thread_local pool, so a packet's life never crosses threads.
 class PacketRef {
  public:
   PacketRef() = default;
@@ -96,11 +196,13 @@ class PacketRef {
     return PacketRef{node};
   }
 
-  PacketRef(const PacketRef& other) : node_{other.node_} {
+  // noexcept copies keep closures that capture a `const PacketRef&` by value
+  // nothrow-movable, so sim::SmallCallback stores them inline, not on the heap.
+  PacketRef(const PacketRef& other) noexcept : node_{other.node_} {
     if (node_ != nullptr) ++node_->refs;
   }
   PacketRef(PacketRef&& other) noexcept : node_{std::exchange(other.node_, nullptr)} {}
-  PacketRef& operator=(const PacketRef& other) {
+  PacketRef& operator=(const PacketRef& other) noexcept {
     PacketRef copy{other};
     std::swap(node_, copy.node_);
     return *this;
@@ -125,7 +227,6 @@ class PacketRef {
 
   void release() {
     if (node_ == nullptr || --node_->refs != 0) return;
-    node_->packet.control.reset();  // drop the payload eagerly, keep the node
     pool().push_back(node_);
     node_ = nullptr;
   }

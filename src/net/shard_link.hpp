@@ -9,11 +9,11 @@ namespace tsim::net {
 
 /// Carries packets across a ShardExecutor channel into another shard's
 /// Network. The two Networks are separate objects on separate schedulers, so
-/// nothing in-flight may be shared: send() deep-copies the packet *fields*
-/// (PacketRef storage is thread-local and never crosses shards) and the
-/// destination shard re-stamps the per-network state — a fresh uid from its
-/// own counter and its own dense group-stats id — before the packet enters at
-/// `entry_node` through the normal arrival path.
+/// nothing in-flight may be shared: send() copies the packet *fields*, control
+/// payload included, by value (PacketRef storage is thread-local and never
+/// crosses shards) and the destination shard re-stamps the per-network state
+/// — a fresh uid from its own counter and its own dense group-stats id —
+/// before the packet enters at `entry_node` through the normal arrival path.
 ///
 /// The channel's latency models the inter-shard access link; it doubles as
 /// the executor's conservative lookahead, so it must be at least the real
@@ -27,7 +27,7 @@ class ShardLink {
   /// `now + latency`. Legal only from the source shard's thread while its
   /// window runs (Channel::post's contract).
   void send(const Packet& packet, sim::Time now) {
-    Packet copy = packet;      // deep copy: no PacketRef crosses the boundary
+    Packet copy = packet;      // plain copy: no PacketRef crosses the boundary
     copy.uid = 0;              // re-stamped from the destination's counter
     copy.group_stats_id = kInvalidGroupStatsId;  // dense ids are per-Network
     const sim::Time arrival = now + channel_.latency();

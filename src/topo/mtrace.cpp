@@ -1,8 +1,9 @@
 #include "topo/mtrace.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <set>
+#include <utility>
+#include <variant>
 
 namespace tsim::topo {
 
@@ -37,15 +38,15 @@ void MtraceDiscovery::register_receiver(net::SessionId session, net::NodeId rece
   // hop; membership is the host's own group table.
   demuxes_.at(receiver).add_handler(
       net::PacketKind::kMtraceQuery, [this, receiver](const net::PacketRef& p) {
-        const auto* query = dynamic_cast<const MtraceQuery*>(p->control.get());
+        const auto* query = std::get_if<net::MtraceQuery>(&p->control);
         if (query == nullptr || query->receiver != receiver) return;
 
-        auto response = std::make_shared<MtraceResponse>();
-        response->session = query->session;
-        response->receiver = receiver;
-        response->round = query->round;
+        net::MtraceResponse response;
+        response.session = query->session;
+        response.receiver = receiver;
+        response.round = query->round;
         const net::NodeId source = mcast_.session_source(query->session);
-        response->path = network_.routes().path(source, receiver);
+        response.path = network_.routes().path(source, receiver);
         int layers = 0;
         const auto tracked = tracked_.find(query->session);
         const int max_layer = tracked == tracked_.end() ? 0 : tracked->second;
@@ -55,15 +56,15 @@ void MtraceDiscovery::register_receiver(net::SessionId session, net::NodeId rece
             layers = l;
           }
         }
-        response->subscribed_layers = layers;
+        response.subscribed_layers = layers;
 
         net::Packet reply;
         reply.kind = net::PacketKind::kMtraceResponse;
-        reply.size_bytes = kMtracePacketBytes;
+        reply.size_bytes = net::kMtracePacketBytes;
         reply.src = receiver;
         reply.dst = config_.tool_node;
         reply.control = std::move(response);
-        network_.send_unicast(reply);
+        network_.send_unicast(std::move(reply));
       });
 }
 
@@ -79,17 +80,12 @@ void MtraceDiscovery::run_round() {
   for (const auto& [session, registered] : receivers_) {
     if (tracked_.find(session) == tracked_.end()) continue;
     for (const net::NodeId receiver : registered.order) {
-      auto query = std::make_shared<MtraceQuery>();
-      query->session = session;
-      query->receiver = receiver;
-      query->round = round_;
-
       net::Packet packet;
       packet.kind = net::PacketKind::kMtraceQuery;
-      packet.size_bytes = kMtracePacketBytes;
+      packet.size_bytes = net::kMtracePacketBytes;
       packet.src = config_.tool_node;
       packet.dst = receiver;
-      packet.control = std::move(query);
+      packet.control = net::MtraceQuery{.session = session, .receiver = receiver, .round = round_};
       network_.send_unicast(packet);
       ++queries_sent_;
     }
@@ -100,7 +96,7 @@ void MtraceDiscovery::run_round() {
 }
 
 void MtraceDiscovery::handle_response(const net::Packet& packet) {
-  const auto* response = dynamic_cast<const MtraceResponse*>(packet.control.get());
+  const auto* response = std::get_if<net::MtraceResponse>(&packet.control);
   if (response == nullptr || response->round != round_) return;  // straggler
   ++responses_received_;
   pending_.push_back(*response);
@@ -112,7 +108,7 @@ void MtraceDiscovery::assemble_round(std::uint32_t round) {
   std::unordered_map<net::SessionId, std::set<std::pair<net::NodeId, net::NodeId>>>
       edges_by_session;
   std::unordered_map<net::SessionId, std::vector<net::NodeId>> members_by_session;
-  for (const MtraceResponse& r : pending_) {
+  for (const net::MtraceResponse& r : pending_) {
     if (r.subscribed_layers < 1 || r.path.empty()) continue;
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
       edges_by_session[r.session].emplace(r.path[i], r.path[i + 1]);

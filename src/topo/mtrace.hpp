@@ -13,27 +13,6 @@
 
 namespace tsim::topo {
 
-/// mtrace-style query payload: "which path does session S take to you, and
-/// which layers do you hold?".
-struct MtraceQuery final : net::ControlPayload {
-  net::SessionId session{0};
-  net::NodeId receiver{net::kInvalidNode};
-  std::uint32_t round{0};
-};
-
-/// Response payload carrying the hop path from the session source to the
-/// receiver and the receiver's per-layer membership — what the routers'
-/// mtrace blocks report hop by hop.
-struct MtraceResponse final : net::ControlPayload {
-  net::SessionId session{0};
-  net::NodeId receiver{net::kInvalidNode};
-  std::uint32_t round{0};
-  std::vector<net::NodeId> path;  ///< source first, receiver last
-  int subscribed_layers{0};
-};
-
-inline constexpr std::uint32_t kMtracePacketBytes = 96;
-
 /// Packet-based topology discovery: each discovery round unicasts one query
 /// per registered receiver; the receiver-side responder answers with the
 /// source->receiver hop path (which real mtrace collects from the routers)
@@ -88,7 +67,7 @@ class MtraceDiscovery final : public TopologyProvider {
   // order queries enter the network, which must be deterministic.
   std::map<net::SessionId, net::LayerId> tracked_;
   std::map<net::SessionId, SessionReceivers> receivers_;
-  std::vector<MtraceResponse> pending_;  ///< responses of the current round
+  std::vector<net::MtraceResponse> pending_;  ///< responses of the current round
   std::unordered_map<net::SessionId, TopologySnapshot> latest_;
   std::uint32_t round_{0};
   std::uint64_t queries_sent_{0};

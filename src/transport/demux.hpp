@@ -22,7 +22,7 @@ class PacketDemux {
   void dispatch(const net::PacketRef& packet) const;
 
  private:
-  // PacketKind is a dense 7-value enum, so a flat per-kind array beats a hash
+  // PacketKind is a dense 8-value enum, so a flat per-kind array beats a hash
   // map on the per-packet dispatch path: one indexed load, no hashing, and
   // kinds with no handlers cost a single empty-vector check.
   std::array<std::vector<Handler>, net::kPacketKindCount> handlers_{};

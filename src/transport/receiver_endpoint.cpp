@@ -1,7 +1,7 @@
 #include "transport/receiver_endpoint.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <variant>
 
 namespace tsim::transport {
 
@@ -139,7 +139,7 @@ void ReceiverEndpoint::fold_fluid() {
 
 void ReceiverEndpoint::handle_suggestion(const net::Packet& packet) {
   if (!active_) return;  // a stale suggestion must not resubscribe a leaver
-  const auto* suggestion = dynamic_cast<const Suggestion*>(packet.control.get());
+  const auto* suggestion = std::get_if<net::Suggestion>(&packet.control);
   if (suggestion == nullptr) return;
   if (suggestion->receiver != config_.node || suggestion->session != config_.session) return;
   for (const auto& cb : suggestion_callbacks_) cb(*suggestion);
@@ -184,24 +184,21 @@ void ReceiverEndpoint::close_window() {
 }
 
 void ReceiverEndpoint::send_report() {
-  auto report = std::make_shared<ReceiverReport>();
-  report->receiver = config_.node;
-  report->session = config_.session;
-  report->subscription = subscription_;
-  report->loss_rate = window_.loss_rate();
-  report->bytes_received = window_.bytes;
-  report->received_packets = window_.received_packets;
-  report->lost_packets = window_.lost_packets;
-  report->window_start = window_start_;
-  report->window_end = simulation_.now();
-  report->report_seq = report_seq_++;
-
   net::Packet packet;
   packet.kind = net::PacketKind::kReport;
-  packet.size_bytes = kReportPacketBytes;
+  packet.size_bytes = net::kReportPacketBytes;
   packet.src = config_.node;
   packet.dst = config_.controller;
-  packet.control = std::move(report);
+  packet.control = net::ReceiverReport{.receiver = config_.node,
+                                       .session = config_.session,
+                                       .subscription = subscription_,
+                                       .loss_rate = window_.loss_rate(),
+                                       .bytes_received = window_.bytes,
+                                       .received_packets = window_.received_packets,
+                                       .lost_packets = window_.lost_packets,
+                                       .window_start = window_start_,
+                                       .window_end = simulation_.now(),
+                                       .report_seq = report_seq_++};
   network_.send_unicast(packet);
 }
 

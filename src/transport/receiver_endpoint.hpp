@@ -9,7 +9,6 @@
 #include "sim/simulation.hpp"
 #include "traffic/fluid_engine.hpp"
 #include "traffic/layer_spec.hpp"
-#include "transport/control_messages.hpp"
 #include "transport/demux.hpp"
 
 namespace tsim::transport {
@@ -97,7 +96,7 @@ class ReceiverEndpoint {
   }
 
   /// Invoked when a Suggestion addressed to this receiver+session arrives.
-  void on_suggestion(std::function<void(const Suggestion&)> cb) {
+  void on_suggestion(std::function<void(const net::Suggestion&)> cb) {
     suggestion_callbacks_.push_back(std::move(cb));
   }
 
@@ -156,7 +155,7 @@ class ReceiverEndpoint {
   /// per endpoint.
   FluidTotals fluid_seen_{};
   std::vector<std::function<void(sim::Time, int, int)>> change_callbacks_;
-  std::vector<std::function<void(const Suggestion&)>> suggestion_callbacks_;
+  std::vector<std::function<void(const net::Suggestion&)>> suggestion_callbacks_;
 };
 
 }  // namespace tsim::transport

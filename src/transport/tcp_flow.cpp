@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <variant>
 
 namespace tsim::transport {
 
@@ -21,15 +21,15 @@ TcpFlow::TcpFlow(sim::Simulation& simulation, net::Network& network,
   demuxes.at(config_.dst).add_handler(
       net::PacketKind::kTcpData, [this](const net::PacketRef& p) {
         if (p->src != config_.src || p->dst != config_.dst) return;
-        const auto* segment = dynamic_cast<const TcpSegment*>(p->control.get());
-        if (segment != nullptr && !segment->ack) on_data_at_receiver(*segment);
+        const auto* segment = std::get_if<net::TcpSegment>(&p->control);
+        if (segment != nullptr) on_data_at_receiver(*segment);
       });
   // Sender side: process ACKs.
   demuxes.at(config_.src).add_handler(
       net::PacketKind::kTcpAck, [this](const net::PacketRef& p) {
         if (p->src != config_.dst || p->dst != config_.src) return;
-        const auto* segment = dynamic_cast<const TcpSegment*>(p->control.get());
-        if (segment != nullptr && segment->ack) on_ack(segment->ack_seq);
+        const auto* segment = std::get_if<net::TcpSegment>(&p->control);
+        if (segment != nullptr) on_ack(segment->ack_seq);
       });
 }
 
@@ -62,15 +62,12 @@ void TcpFlow::maybe_send() {
 }
 
 void TcpFlow::send_segment(std::uint64_t seq, bool retransmit) {
-  auto payload = std::make_shared<TcpSegment>();
-  payload->seq = seq;
-
   net::Packet packet;
   packet.kind = net::PacketKind::kTcpData;
   packet.size_bytes = config_.mss_bytes;
   packet.src = config_.src;
   packet.dst = config_.dst;
-  packet.control = std::move(payload);
+  packet.control = net::TcpSegment{.seq = seq};
   network_.send_unicast(packet);
 
   if (retransmit || seq < max_sent_) {
@@ -82,7 +79,7 @@ void TcpFlow::send_segment(std::uint64_t seq, bool retransmit) {
   }
 }
 
-void TcpFlow::on_data_at_receiver(const TcpSegment& segment) {
+void TcpFlow::on_data_at_receiver(const net::TcpSegment& segment) {
   if (segment.seq == rcv_next_) {
     ++rcv_next_;
     delivered_bytes_ += config_.mss_bytes;
@@ -98,15 +95,12 @@ void TcpFlow::on_data_at_receiver(const TcpSegment& segment) {
     out_of_order_[segment.seq] = true;
   }
 
-  auto ack = std::make_shared<TcpSegment>();
-  ack->ack = true;
-  ack->ack_seq = rcv_next_;
   net::Packet packet;
   packet.kind = net::PacketKind::kTcpAck;
   packet.size_bytes = kAckBytes;
   packet.src = config_.dst;
   packet.dst = config_.src;
-  packet.control = std::move(ack);
+  packet.control = net::TcpSegment{.ack_seq = rcv_next_};
   network_.send_unicast(packet);
 }
 

@@ -45,16 +45,10 @@ class TcpFlow {
   [[nodiscard]] double mean_goodput_bps() const;
 
  private:
-  struct TcpSegment final : net::ControlPayload {
-    std::uint64_t seq{0};   ///< segment index (not bytes)
-    bool ack{false};
-    std::uint64_t ack_seq{0};  ///< next expected segment (cumulative)
-  };
-
   void maybe_send();
   void send_segment(std::uint64_t seq, bool retransmit);
   void on_ack(std::uint64_t ack_seq);
-  void on_data_at_receiver(const TcpSegment& segment);
+  void on_data_at_receiver(const net::TcpSegment& segment);
   void arm_rto();
   void on_rto();
 

@@ -8,9 +8,9 @@ namespace {
 using namespace tsim::sim::time_literals;
 using sim::Time;
 
-transport::ReceiverReport report(net::SessionId session, net::NodeId receiver,
-                                 std::uint64_t bytes, int subscription, Time start, Time end) {
-  transport::ReceiverReport r;
+net::ReceiverReport report(net::SessionId session, net::NodeId receiver,
+                           std::uint64_t bytes, int subscription, Time start, Time end) {
+  net::ReceiverReport r;
   r.session = session;
   r.receiver = receiver;
   r.bytes_received = tsim::units::Bytes{bytes};

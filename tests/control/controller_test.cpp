@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "control/receiver_agent.hpp"
@@ -81,6 +82,17 @@ TEST_F(ControlFixture, ReportsFlowToController) {
   build(10e6);
   simulation.run_until(20_s);
   EXPECT_GT(controller->reports_received(), 5u);
+
+  // A kReport packet without a ReceiverReport payload is not counted.
+  const std::uint64_t received = controller->reports_received();
+  net::Packet p;
+  p.kind = net::PacketKind::kReport;
+  p.src = rcv;
+  p.dst = src;
+  demuxes.at(src).dispatch(net::PacketRef::make(net::Packet{p}));
+  p.control = net::Suggestion{.receiver = rcv, .session = 0, .subscription = 1};
+  demuxes.at(src).dispatch(net::PacketRef::make(std::move(p)));
+  EXPECT_EQ(controller->reports_received(), received);
 }
 
 TEST_F(ControlFixture, SuggestionsDriveSubscriptionUp) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenarios/scenario.hpp"
@@ -178,6 +179,22 @@ TEST(DomainManagerTest, SummariesAndCapsFlowBetweenDomains) {
   ASSERT_NE(manager->agent(0), nullptr);
   EXPECT_TRUE(manager->agent(0)->is_border(0, manager->domain(1).controller_node));
   EXPECT_TRUE(manager->agent(0)->is_border(0, manager->domain(2).controller_node));
+
+  // kSummary packets without a DomainSummary payload are ignored by parent
+  // and child alike: nothing is counted and no violation is recorded.
+  const std::uint64_t summaries = manager->summaries_received();
+  const std::uint64_t caps = manager->caps_received();
+  for (const std::size_t domain : {std::size_t{0}, std::size_t{1}}) {
+    const net::NodeId node = manager->domain(domain).controller_node;
+    net::Packet p;
+    p.kind = net::PacketKind::kSummary;
+    p.dst = node;
+    s->demuxes().at(node).dispatch(net::PacketRef::make(net::Packet{p}));
+    p.control = net::ReceiverReport{.receiver = node, .session = 0, .subscription = 1};
+    s->demuxes().at(node).dispatch(net::PacketRef::make(std::move(p)));
+  }
+  EXPECT_EQ(manager->summaries_received(), summaries);
+  EXPECT_EQ(manager->caps_received(), caps);
 
   // Caps that arrived clamp the child's prescriptions to a real layer range.
   std::vector<std::string> failures;

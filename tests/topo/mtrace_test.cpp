@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <variant>
+
 #include "sim/simulation.hpp"
 
 namespace tsim::topo {
@@ -59,6 +62,21 @@ TEST_F(MtraceFixture, QueriesAreLinearInReceivers) {
   discovery->register_receiver(0, a);
   discovery->register_receiver(0, b);
   discovery->start();
+  // Queries and responses without their mtrace payload are ignored: no reply
+  // goes out and no response is counted.
+  const auto inject = [&](net::PacketKind kind, net::NodeId to, auto payload) {
+    net::Packet p;
+    p.kind = kind;
+    p.dst = to;
+    p.control = payload;
+    demuxes.at(to).dispatch(net::PacketRef::make(std::move(p)));
+  };
+  simulation.at(Time::seconds(10.2), [&] {
+    inject(net::PacketKind::kMtraceQuery, a, std::monostate{});
+    inject(net::PacketKind::kMtraceQuery, b, net::MtraceResponse{.receiver = b, .round = 11});
+    inject(net::PacketKind::kMtraceResponse, src, std::monostate{});
+    inject(net::PacketKind::kMtraceResponse, src, net::MtraceQuery{.receiver = a, .round = 11});
+  });
   simulation.run_until(Time::seconds(10.5));
   // 11 rounds (t=0..10) x 2 receivers.
   EXPECT_EQ(discovery->queries_sent(), 22u);

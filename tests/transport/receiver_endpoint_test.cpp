@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "mcast/multicast_router.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/layered_source.hpp"
-#include "transport/control_messages.hpp"
 #include "transport/demux.hpp"
 
 namespace tsim::transport {
@@ -26,12 +26,12 @@ struct EndpointFixture : ::testing::Test {
   mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 500_ms}};
   DemuxRegistry demuxes{network};
 
-  std::vector<ReceiverReport> reports_at_src;
+  std::vector<net::ReceiverReport> reports_at_src;
 
   EndpointFixture() {
     mcast.set_session_source(0, src);
     demuxes.at(src).add_handler(net::PacketKind::kReport, [this](const net::PacketRef& p) {
-      const auto* r = dynamic_cast<const ReceiverReport*>(p->control.get());
+      const auto* r = std::get_if<net::ReceiverReport>(&p->control);
       if (r != nullptr) reports_at_src.push_back(*r);
     });
   }
@@ -113,7 +113,7 @@ TEST_F(EndpointFixture, ReportsArriveAtController) {
   endpoint->start();
   simulation.run_until(Time::seconds(10.5));
   ASSERT_GE(reports_at_src.size(), 9u);
-  const ReceiverReport& r = reports_at_src.back();
+  const net::ReceiverReport& r = reports_at_src.back();
   EXPECT_EQ(r.receiver, rcv);
   EXPECT_EQ(r.session, 0);
   EXPECT_EQ(r.subscription, 2);
@@ -141,18 +141,14 @@ TEST_F(EndpointFixture, SuggestionsReachCallback) {
   auto endpoint = make_endpoint(1);
   endpoint->start();
   int suggested = -1;
-  endpoint->on_suggestion([&](const Suggestion& s) { suggested = s.subscription; });
+  endpoint->on_suggestion([&](const net::Suggestion& s) { suggested = s.subscription; });
 
-  auto payload = std::make_shared<Suggestion>();
-  payload->receiver = rcv;
-  payload->session = 0;
-  payload->subscription = 4;
   net::Packet p;
   p.kind = net::PacketKind::kSuggestion;
-  p.size_bytes = kSuggestionPacketBytes;
+  p.size_bytes = net::kSuggestionPacketBytes;
   p.src = src;
   p.dst = rcv;
-  p.control = payload;
+  p.control = net::Suggestion{.receiver = rcv, .session = 0, .subscription = 4};
   simulation.at(1_s, [&, p]() { network.send_unicast(p); });
   simulation.run_until(2_s);
   EXPECT_EQ(suggested, 4);
@@ -163,18 +159,20 @@ TEST_F(EndpointFixture, SuggestionForOtherReceiverIgnored) {
   auto endpoint = make_endpoint(1);
   endpoint->start();
   int calls = 0;
-  endpoint->on_suggestion([&](const Suggestion&) { ++calls; });
+  endpoint->on_suggestion([&](const net::Suggestion&) { ++calls; });
 
-  auto payload = std::make_shared<Suggestion>();
-  payload->receiver = src;  // someone else
-  payload->session = 0;
   net::Packet p;
   p.kind = net::PacketKind::kSuggestion;
-  p.size_bytes = kSuggestionPacketBytes;
+  p.size_bytes = net::kSuggestionPacketBytes;
   p.src = src;
   p.dst = rcv;
-  p.control = payload;
+  p.control = net::Suggestion{.receiver = src, .session = 0};  // someone else
   simulation.at(1_s, [&, p]() { network.send_unicast(p); });
+  // A kSuggestion packet without a Suggestion payload is ignored too.
+  p.control = std::monostate{};
+  simulation.at(1200_ms, [&, p]() { network.send_unicast(p); });
+  p.control = net::ReceiverReport{.receiver = rcv, .session = 0, .subscription = 4};
+  simulation.at(1400_ms, [&, p]() { network.send_unicast(p); });
   simulation.run_until(2_s);
   EXPECT_EQ(calls, 0);
 }
@@ -234,7 +232,7 @@ TEST_F(EndpointFixture, StopClosesFinalWindowAndReportsItsLoss) {
   simulation.run_until(12_s);
 
   ASSERT_FALSE(reports_at_src.empty());
-  const ReceiverReport& last = reports_at_src.back();
+  const net::ReceiverReport& last = reports_at_src.back();
   EXPECT_EQ(last.window_end, Time::seconds(10.5))
       << "no report was sent for the final partial window";
   EXPECT_GT(last.lost_packets.count(), 0u)

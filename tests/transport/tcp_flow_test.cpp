@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/simulation.hpp"
 
 namespace tsim::transport {
@@ -40,6 +42,30 @@ TEST_F(TcpFixture, SaturatesAnEmptyLink) {
   // of the capacity (ACK-clocked sawtooth).
   EXPECT_GT(flow.mean_goodput_bps(), 0.7e6);
   EXPECT_LE(flow.mean_goodput_bps(), 1.0e6 + 1.0);
+}
+
+TEST_F(TcpFixture, SegmentsWithoutATcpPayloadAreIgnored) {
+  link(1e6);
+  TcpFlow flow{simulation, network, demuxes, config()};
+  int acks_at_a = 0;
+  demuxes.at(a).add_handler(net::PacketKind::kTcpAck,
+                            [&](const net::PacketRef&) { ++acks_at_a; });
+  for (const net::PacketKind kind : {net::PacketKind::kTcpData, net::PacketKind::kTcpAck}) {
+    const bool data = kind == net::PacketKind::kTcpData;
+    const net::NodeId to = data ? b : a;
+    net::Packet p;
+    p.kind = kind;
+    p.src = data ? a : b;
+    p.dst = to;
+    demuxes.at(to).dispatch(net::PacketRef::make(net::Packet{p}));
+    p.control = net::Suggestion{};
+    demuxes.at(to).dispatch(net::PacketRef::make(std::move(p)));
+  }
+  simulation.run_until(1_s);
+  // Only the two injected ACKs reach a: the receiver acknowledged nothing.
+  EXPECT_EQ(acks_at_a, 2);
+  EXPECT_EQ(flow.delivered_bytes(), 0u);
+  EXPECT_EQ(flow.cwnd_packets(), 1.0);
 }
 
 TEST_F(TcpFixture, BoundedTransferCompletes) {
