@@ -1,16 +1,20 @@
 // Performance microbenchmarks (google-benchmark): the event kernel (including
 // a drifting 10k-wide fan-out burst), the packet forwarding path, the
-// TopoSense algorithm's scaling with tree size, and the two per-layer costs of
-// a 100k-receiver fluid closed loop (one controller interval, one fluid step).
+// TopoSense algorithm's scaling with tree size, the two per-layer costs of a
+// 100k-receiver fluid closed loop (one controller interval, one fluid step),
+// and one multicast tree rebuild.
 // These guard the simulator's throughput — the figure benches run hundreds of
 // simulated minutes and depend on it.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "control/controller_agent.hpp"
 #include "core/toposense.hpp"
+#include "mcast/multicast_router.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_builder.hpp"
 #include "sim/simulation.hpp"
@@ -243,6 +247,49 @@ void BM_FluidStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FluidStep)->Arg(10'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
+
+void BM_TreeRebuild(benchmark::State& state) {
+  // One multicast tree rebuild per iteration: on_topology_change() dirties
+  // the group as a link event would, and tree() rebuilds it over every
+  // member's path. 1000 receivers is the paper's tiered 8x5x25 tree; 100000
+  // is the scale star, one hub fanning out to every receiver.
+  sim::Simulation simulation{1};
+  net::Network network{simulation};
+  mcast::MulticastRouter router{simulation, network};
+  const units::BitsPerSec rate{10e6};
+  const Time latency = Time::milliseconds(10);
+  const net::NodeId source = network.add_node("source");
+  const net::NodeId hub = network.add_node("hub");
+  network.add_duplex_link(source, hub, rate, latency);
+  std::vector<net::NodeId> receivers;
+  auto add_child = [&](net::NodeId parent) {
+    const net::NodeId child = network.add_node();
+    network.add_duplex_link(parent, child, rate, latency);
+    return child;
+  };
+  if (state.range(0) == 1'000) {
+    for (int r = 0; r < 8; ++r) {
+      const net::NodeId regional = add_child(hub);
+      for (int l = 0; l < 5; ++l) {
+        const net::NodeId local = add_child(regional);
+        for (int i = 0; i < 25; ++i) receivers.push_back(add_child(local));
+      }
+    }
+  } else {
+    for (std::int64_t i = 0; i < state.range(0); ++i) receivers.push_back(add_child(hub));
+  }
+  network.compute_routes();
+  router.set_session_source(0, source);
+  const net::GroupAddr group{0, 1};
+  for (const net::NodeId receiver : receivers) router.join(receiver, group);
+  benchmark::DoNotOptimize(router.tree(group));
+  for (auto _ : state) {
+    router.on_topology_change();
+    benchmark::DoNotOptimize(router.tree(group));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(receivers.size()));
+}
+BENCHMARK(BM_TreeRebuild)->Arg(1'000)->Arg(100'000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -277,37 +277,56 @@ void InvariantAuditor::check_group_tree(net::GroupAddr group, const mcast::Group
     }
   }
 
-  // CSR coherence: the dense fan-out tables route() replicates from must
-  // mirror the sparse entries view exactly — same spans, same link order,
-  // same local-delivery flags, and no fan-out outside any entry's span.
-  std::uint64_t entry_links = 0;
-  for (const auto& [node, entry] : tree.entries) {  // NOLINT-determinism(order-free)
-    entry_links += entry.out_links.size();
-    if (node >= tree.fan.size()) {
-      report(Violation{"mcast.tree_csr", now(), epoch(), node, net::kInvalidLink,
-                       tag + ": entry node has no fan slot"});
-      continue;
-    }
-    const mcast::GroupTree::FanSlot& slot = tree.fan[node];
-    const bool span_ok =
-        slot.count == entry.out_links.size() &&
-        static_cast<std::size_t>(slot.offset) + slot.count <= tree.fan_links.size() &&
-        std::equal(entry.out_links.begin(), entry.out_links.end(),
-                   tree.fan_links.begin() + slot.offset);
-    if (!span_ok || (slot.deliver_locally != 0) != entry.deliver_locally) {
-      report(Violation{"mcast.tree_csr", now(), epoch(), node, net::kInvalidLink,
-                       tag + ": fan slot disagrees with entry (span " +
-                           std::to_string(slot.offset) + "+" + std::to_string(slot.count) +
-                           " of " + std::to_string(tree.fan_links.size()) + " links)"});
-    }
-  }
-  if (entry_links != tree.fan_links.size()) {
+  // CSR coherence: the fan-out tables route() replicates from must follow
+  // the edges exactly. Each parent's run of edges is its fan span (same
+  // offset, same length), so the spans partition fan_links with
+  // fan_links[i] carrying edges[i], and no node outside a run fans out.
+  if (tree.fan_links.size() != tree.edges.size()) {
     report(Violation{"mcast.tree_csr", now(), epoch(), tree.source, net::kInvalidLink,
                      tag + ": fan pool holds " + std::to_string(tree.fan_links.size()) +
-                         " links, entries hold " + std::to_string(entry_links)});
+                         " links for " + std::to_string(tree.edges.size()) + " edges"});
+  }
+  for (std::size_t run = 0; run < tree.edges.size();) {
+    const net::NodeId parent = tree.edges[run].first;
+    std::size_t run_end = run + 1;
+    while (run_end < tree.edges.size() && tree.edges[run_end].first == parent) ++run_end;
+    if (parent >= tree.fan.size()) {
+      report(Violation{"mcast.tree_csr", now(), epoch(), parent, net::kInvalidLink,
+                       tag + ": edge parent has no fan slot"});
+    } else if (const mcast::GroupTree::FanSlot& slot = tree.fan[parent];
+               slot.offset != run || slot.count != run_end - run) {
+      report(Violation{"mcast.tree_csr", now(), epoch(), parent, net::kInvalidLink,
+                       tag + ": fan span " + std::to_string(slot.offset) + "+" +
+                           std::to_string(slot.count) + " disagrees with edge run " +
+                           std::to_string(run) + "+" + std::to_string(run_end - run)});
+    }
+    run = run_end;
+  }
+  std::uint64_t fanned_links = 0;
+  std::vector<net::NodeId> delivering;  // ascending: fan is NodeId-indexed
+  for (net::NodeId node = 0; node < tree.fan.size(); ++node) {
+    fanned_links += tree.fan[node].count;
+    if (tree.fan[node].deliver_locally != 0) delivering.push_back(node);
+  }
+  if (fanned_links != tree.edges.size()) {
+    report(Violation{"mcast.tree_csr", now(), epoch(), tree.source, net::kInvalidLink,
+                     tag + ": fan slots span " + std::to_string(fanned_links) + " links for " +
+                         std::to_string(tree.edges.size()) + " edges"});
   }
 
   if (network_ != nullptr) {
+    const std::size_t paired = std::min(tree.edges.size(), tree.fan_links.size());
+    for (std::size_t i = 0; i < paired; ++i) {
+      const net::LinkId lid = tree.fan_links[i];
+      const auto [parent, child] = tree.edges[i];
+      if (lid >= network_->link_count() || network_->link(lid).from() != parent ||
+          network_->link(lid).to() != child) {
+        report(Violation{"mcast.tree_csr", now(), epoch(), parent, lid,
+                         tag + ": fan link " + std::to_string(i) + " does not run " +
+                             std::to_string(parent) + "->" + std::to_string(child)});
+      }
+    }
+
     for (const auto& [parent, child] : tree.edges) {
       bool alive = false;
       net::LinkId seen_link = net::kInvalidLink;
@@ -330,11 +349,6 @@ void InvariantAuditor::check_group_tree(net::GroupAddr group, const mcast::Group
     // not reach, even though the topology has a path for it. Members with no
     // physical path are excused — the router keeps them for re-grafting once
     // the partition heals, which is correct behaviour, not a stale tree.
-    std::vector<net::NodeId> delivering;
-    for (const auto& [node, entry] : tree.entries) {  // NOLINT-determinism(sorted below)
-      if (entry.deliver_locally) delivering.push_back(node);
-    }
-    std::sort(delivering.begin(), delivering.end());
     const net::RoutingTable& routes = network_->routes();
     for (const net::NodeId node : delivering) {
       if (node == tree.source || reached.count(node) != 0) continue;

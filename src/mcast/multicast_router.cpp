@@ -1,8 +1,8 @@
 #include "mcast/multicast_router.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 namespace tsim::mcast {
@@ -112,38 +112,49 @@ std::vector<net::NodeId> MulticastRouter::members(net::GroupAddr group) const {
 }
 
 void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
-  GroupTree tree;
+  GroupTree& tree = state.tree;
   tree.source = session_source(group.session);
   const sim::Time now = simulation_.now();
-
-  std::set<std::pair<net::NodeId, net::NodeId>> edge_set;
   const net::RoutingTable& routes = network_.routes();
   tree.fan.assign(network_.node_count(), {});
 
-  // Per-member work is independent and accumulates into the ordered edge_set,
-  // so the hash iteration order never reaches the finished tree. The CSR
-  // deliver flags land in distinct NodeId slots, so order never shows there
-  // either.
-  for (const auto& [member, ms] : state.members) {  // NOLINT-determinism(order-free)
+  // Every hop of every forwarding member's path goes into edge_keys_ as one
+  // packed (parent, child) key; sorting the keys afterwards is what keeps the
+  // hash iteration order out of the finished tree. The CSR deliver flags land
+  // in distinct NodeId slots, so order never shows there either.
+  edge_keys_.clear();
+  for (const auto& [member, ms] : state.members) {  // NOLINT-determinism(keys sorted below)
     const bool carries_traffic = ms.local_active || ms.forward_until > now;
     if (!carries_traffic) continue;
-    if (ms.local_active) {
-      tree.entries[member].deliver_locally = true;
-      tree.fan[member].deliver_locally = 1;
-    }
+    if (ms.local_active) tree.fan[member].deliver_locally = 1;
     if (member == tree.source) continue;
-    const std::vector<net::NodeId> path = routes.path(tree.source, member);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      edge_set.emplace(path[i], path[i + 1]);
+    if (routes.path_cost(tree.source, member) == std::numeric_limits<double>::infinity()) {
+      continue;
+    }
+    // Walk the path hop by hop, each hop from its own routing row, exactly as
+    // RoutingTable::path does; a walk that dead-ends contributes no edge.
+    const std::size_t walk_start = edge_keys_.size();
+    for (net::NodeId cur = tree.source; cur != member;) {
+      const net::NodeId next = routes.next_node(cur, member);
+      if (next == net::kInvalidNode) {
+        edge_keys_.resize(walk_start);
+        break;
+      }
+      edge_keys_.push_back(std::uint64_t{cur} << 32U | next);
+      cur = next;
     }
   }
+  std::sort(edge_keys_.begin(), edge_keys_.end());
+  edge_keys_.erase(std::unique(edge_keys_.begin(), edge_keys_.end()), edge_keys_.end());
 
-  // edge_set is sorted by (parent, child), so each parent's links form one
+  // The keys sort by (parent, child), so each parent's links form one
   // contiguous run: exactly the CSR span route() replicates from.
-  tree.fan_links.reserve(edge_set.size());
-  for (const auto& [parent, child] : edge_set) {
+  tree.edges.clear();
+  tree.fan_links.clear();
+  for (const std::uint64_t key : edge_keys_) {
+    const auto parent = static_cast<net::NodeId>(key >> 32U);
+    const auto child = static_cast<net::NodeId>(key);
     const net::LinkId link = routes.next_hop(parent, child);
-    tree.entries[parent].out_links.push_back(link);
     tree.edges.emplace_back(parent, child);
     GroupTree::FanSlot& slot = tree.fan[parent];
     if (slot.count == 0) slot.offset = static_cast<std::uint32_t>(tree.fan_links.size());
@@ -155,7 +166,6 @@ void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
   }
 
   tree.built_topology_version = network_.topology_version();
-  state.tree = std::move(tree);
   state.tree_dirty = false;
   if (audit_hook_) audit_hook_(group, state.tree);
 }
@@ -199,13 +209,18 @@ void MulticastRouter::corrupt_tree_edge_for_test(net::GroupAddr group) {
 
 std::vector<std::pair<net::NodeId, net::NodeId>> MulticastRouter::session_tree_edges(
     net::SessionId session, net::LayerId max_layer) const {
-  std::set<std::pair<net::NodeId, net::NodeId>> edge_set;
+  // Every layer's edges are sorted and unique already, so the union is one
+  // linear merge per layer into scratch that keeps its capacity.
+  union_edges_.clear();
   for (net::LayerId layer = 1; layer <= max_layer; ++layer) {
     const GroupTree* t = tree(net::GroupAddr{session, layer});
     if (t == nullptr) continue;
-    edge_set.insert(t->edges.begin(), t->edges.end());
+    union_spare_.clear();
+    std::set_union(union_edges_.begin(), union_edges_.end(), t->edges.begin(), t->edges.end(),
+                   std::back_inserter(union_spare_));
+    union_edges_.swap(union_spare_);
   }
-  return {edge_set.begin(), edge_set.end()};
+  return union_edges_;
 }
 
 void MulticastRouter::on_topology_change() {

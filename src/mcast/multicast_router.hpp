@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/hotpath.hpp"
@@ -19,15 +19,8 @@ namespace tsim::mcast {
 struct GroupTree {
   net::NodeId source{net::kInvalidNode};
 
-  struct ForwardEntry {
-    std::vector<net::LinkId> out_links;  ///< links to replicate onto
-    bool deliver_locally{false};         ///< a subscribed receiver lives here
-  };
-  std::unordered_map<net::NodeId, ForwardEntry> entries;
-
   /// One fan-out slot per node: a (offset, count) span into `fan_links` plus
-  /// the local-delivery flag — a few bytes where the per-entry vector layout
-  /// paid a heap hop per node. `count` is 32-bit: the scale star hangs every
+  /// the local-delivery flag. `count` is 32-bit: the scale star hangs every
   /// receiver off one hub, so a single node's fan-out reaches the full
   /// receiver population (100k exceeds uint16).
   struct FanSlot {
@@ -37,16 +30,15 @@ struct GroupTree {
   };
   static_assert(sizeof(FanSlot) == 12, "FanSlot must stay within 12 bytes");
 
-  /// `entries` flattened CSR-style: `fan` is NodeId-indexed, `fan_links` is
-  /// the shared pool all spans point into (per-node runs are contiguous, in
-  /// the same sorted order as entries[].out_links). The per-hop route() path
-  /// reads only these two arrays; `entries` stays the sparse view for
-  /// auditors and tests.
+  /// The forwarding state, CSR-style: `fan` is NodeId-indexed, `fan_links`
+  /// is the shared pool all spans point into. `fan_links[i]` is the link of
+  /// `edges[i]`, so each node's span is the run of its out-edges in `edges`
+  /// and the spans partition the pool. route() reads only these two arrays.
   std::vector<FanSlot> fan;
   std::vector<net::LinkId> fan_links;
 
-  /// Tree edges as (parent, child) node pairs — what a topology discovery
-  /// tool (mtrace-style) would reconstruct.
+  /// Tree edges as (parent, child) node pairs, sorted and unique — what a
+  /// topology discovery tool (mtrace-style) would reconstruct.
   std::vector<std::pair<net::NodeId, net::NodeId>> edges;
 
   /// Network::topology_version() at the instant this tree was (re)built. A
@@ -121,7 +113,8 @@ class MulticastRouter final : public net::MulticastForwarder {
   void corrupt_tree_edge_for_test(net::GroupAddr group);
 
   /// Union of the per-layer tree edges of `session` for layers [1..max_layer]
-  /// — the "multicast session topology" the paper's controller consumes.
+  /// — the "multicast session topology" the paper's controller consumes —
+  /// sorted by (parent, child).
   [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>> session_tree_edges(
       net::SessionId session, net::LayerId max_layer) const;
 
@@ -149,9 +142,13 @@ class MulticastRouter final : public net::MulticastForwarder {
   };
 
   GroupState& group_state(net::GroupAddr group);
+  /// Rebuilds `state.tree` in place from the members' shortest paths. The
+  /// tree's vectors and edge_keys_ keep their capacity, so once they have
+  /// grown to the group's largest tree a rebuild allocates nothing.
   HOT_PATH_EXEMPT(
-      "control plane: a rebuild fires once per membership or topology change and the tree "
-      "is cached until re-dirtied; route() serves the cached CSR fan-out per packet")
+      "capacity warm-up only: a rebuild reuses the tree's arrays and the router's key "
+      "scratch, which grow only while a group's tree is larger than any before it; the "
+      "routing rows it reads materialize under RoutingTable::row's own exemption")
   void rebuild_tree(net::GroupAddr group, GroupState& state);
 
   sim::Simulation& simulation_;
@@ -164,6 +161,12 @@ class MulticastRouter final : public net::MulticastForwarder {
   std::vector<GroupState*> groups_by_stats_id_;
   std::unordered_map<net::SessionId, net::NodeId> session_sources_;
   std::function<void(net::GroupAddr, const GroupTree&)> audit_hook_;
+  /// rebuild_tree scratch: one packed (parent << 32 | child) key per hop of
+  /// every member's path, sorted and deduplicated into the tree's edges.
+  std::vector<std::uint64_t> edge_keys_;
+  /// session_tree_edges scratch: the running union and the merge target.
+  mutable std::vector<std::pair<net::NodeId, net::NodeId>> union_edges_;
+  mutable std::vector<std::pair<net::NodeId, net::NodeId>> union_spare_;
 };
 
 }  // namespace tsim::mcast

@@ -105,13 +105,19 @@ void ShardExecutor::run_window(Time bound) {
 
   if (workers_.empty()) {
     const std::size_t spawn = std::min(threads, shards_.size());
+    // A respawned pool (after a failed run) starts from the current
+    // generation: a worker that took an older generation for a fresh window
+    // would run shards to a stale bound and decrement running_workers_ for a
+    // window it was never counted in, and the barrier could wait forever.
+    std::uint64_t spawned_at = 0;
     {
       core::LockGuard lock{mutex_};
       stopping_ = false;
+      spawned_at = generation_;
     }
     workers_.reserve(spawn);
     for (std::size_t i = 0; i < spawn; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, spawned_at] { worker_loop(spawned_at); });
     }
   }
 
@@ -133,8 +139,7 @@ void ShardExecutor::run_window(Time bound) {
   }
 }
 
-void ShardExecutor::worker_loop() {
-  std::uint64_t seen = 0;
+void ShardExecutor::worker_loop(std::uint64_t seen) {
   for (;;) {
     Time bound{};
     {

@@ -132,7 +132,8 @@ class ShardExecutor {
   void run_window(Time bound) TS_EXCLUDES(mutex_);
   void drain_channels(std::int64_t bound_ns);
   void stop_pool() TS_EXCLUDES(mutex_);
-  void worker_loop() TS_EXCLUDES(mutex_);
+  /// Runs one window per generation after `seen`, until stopping_.
+  void worker_loop(std::uint64_t seen) TS_EXCLUDES(mutex_);
   HOT_PATH void run_claimed_shards(Time bound) TS_EXCLUDES(mutex_);
 
   /// --- barrier-thread state (never touched by workers) --------------------

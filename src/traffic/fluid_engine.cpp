@@ -70,7 +70,7 @@ void FluidEngine::touch(net::LinkId link) {
   if (gap > 0 && st.last_step > 0) {
     // The link sat idle for `gap` full steps: nothing was offered, so the
     // backlog drained at line rate and any stale loss fraction is over.
-    const double drained = network_.link(link).bandwidth().bps() *
+    const double drained = network_.link_params(link).bandwidth.bps() *
                            config_.step.as_seconds() * static_cast<double>(gap);
     st.queue.backlog_bits =
         st.queue.backlog_bits > drained ? st.queue.backlog_bits - drained : 0.0;
@@ -193,11 +193,12 @@ void FluidEngine::step() {
       // turn this step's aggregate offered rate into its loss fraction.
       for (const net::LinkId link : touched_) {
         LinkState& st = link_state_[link];
-        const net::Link& l = network_.link(link);
-        const units::Bytes limit{static_cast<std::uint64_t>(l.queue_limit()) *
-                                 config_.packet_size_bytes};
+        const units::Bytes limit{
+            static_cast<std::uint64_t>(network_.link_hot(link).queue_limit) *
+            config_.packet_size_bytes};
         st.loss_now = net::fluid_queue_step(st.queue, units::BitsPerSec{st.offered},
-                                            l.bandwidth(), limit, config_.step);
+                                            network_.link_params(link).bandwidth, limit,
+                                            config_.step);
         st.last_step = steps_;
       }
     }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -148,11 +149,12 @@ TEST(ShardStressTest, ExecutorRestartsAfterWorkerException) {
   // The pool was stopped and joined by the scope guard; a fresh run_until
   // must respawn it and make progress.
   armed = false;
-  int late_events = 0;
+  // Both shards' workers bump this one counter, so it must be atomic.
+  std::atomic<int> late_events{0};
   a.at(2_s, [&] { ++late_events; });
   b.at(2_s, [&] { ++late_events; });
   executor.run_until(3_s);
-  EXPECT_EQ(late_events, 2);
+  EXPECT_EQ(late_events.load(), 2);
 }
 
 }  // namespace
