@@ -185,8 +185,6 @@ void BM_ControllerInterval(benchmark::State& state) {
   control::ControllerAgent::Config cfg;
   cfg.node = hub;
   cfg.start = cfg.params.interval;
-  // Only the last three intervals' reports are ever aggregated.
-  cfg.report_history_limit = 3;
   control::ControllerAgent controller{simulation, network, discovery, demuxes.at(hub), cfg};
   const std::vector<net::NodeId>& leaves = discovery.snapshot(0)->receivers;
   for (const net::NodeId leaf : leaves) controller.register_receiver(0, leaf);

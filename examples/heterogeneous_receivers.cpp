@@ -54,7 +54,7 @@ int main() {
   scfg.peak_to_mean = 3.0;
   traffic::LayeredSource video{simulation, network, scfg};
 
-  topo::DiscoveryService discovery{simulation, mcast, {Time::seconds(1), Time::zero(), 64}};
+  topo::DiscoveryService discovery{simulation, mcast, {Time::seconds(1), Time::zero()}};
   control::ControllerAgent::Config ccfg;
   ccfg.node = source;
   control::ControllerAgent controller{simulation, network, discovery, demuxes.at(source), ccfg};

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
+#include <utility>
 #include <variant>
 
 namespace tsim::control {
-
-namespace {
-std::uint64_t key_of(net::SessionId session, net::NodeId receiver) {
-  return (static_cast<std::uint64_t>(session) << 32) | receiver;
-}
-}  // namespace
 
 ControllerAgent::ControllerAgent(sim::Simulation& simulation, net::Network& network,
                                  topo::TopologyProvider& discovery,
@@ -31,12 +25,11 @@ void ControllerAgent::register_receiver(net::SessionId session, net::NodeId rece
     discovery_.track_session(session,
                              static_cast<net::LayerId>(config_.params.layers.num_layers));
   }
-  std::vector<std::uint8_t>& member = membership_[session];
-  if (member.size() <= receiver) {
-    member.resize(std::max<std::size_t>(receiver + 1, network_.node_count()), 0);
+  std::vector<Receiver>& row = receivers_[session];
+  if (row.size() <= receiver) {
+    row.resize(std::max<std::size_t>(receiver + 1, network_.node_count()));
   }
-  if (member[receiver] != 0) return;
-  member[receiver] = 1;
+  if (std::exchange(row[receiver].registered, true)) return;
   it->second.push_back(receiver);
 }
 
@@ -55,9 +48,11 @@ void ControllerAgent::set_enabled(bool enabled) {
   if (!enabled_) {
     ++outages_;
     // The process died: its in-memory report history dies with it. The
-    // ledger and wire counters survive by design (see the header contract) —
-    // they are the durable billing/audit record, not learned state.
-    reports_.clear();
+    // ledger, wire counters and registrations survive by design (see the
+    // header contract): they are the durable record, not learned state.
+    for (auto& [session, row] : receivers_) {
+      for (Receiver& receiver : row) receiver.reports.clear();
+    }
   }
 }
 
@@ -72,37 +67,39 @@ ControllerStats ControllerAgent::stats() const {
 
 std::size_t ControllerAgent::report_history_size() const {
   std::size_t n = 0;
-  // Order-insensitive sum over all histories.  NOLINT(determinism)
-  for (const auto& [key, history] : reports_) n += history.size();
+  for (const auto& [session, row] : receivers_) {
+    for (const Receiver& receiver : row) n += receiver.reports.size();
+  }
   return n;
 }
 
 void ControllerAgent::register_border_receiver(net::SessionId session, net::NodeId border) {
-  borders_[key_of(session, border)] = true;
   register_receiver(session, border);
+  receivers_[session][border].border = true;
 }
 
 bool ControllerAgent::is_border(net::SessionId session, net::NodeId node) const {
-  return borders_.count(key_of(session, node)) != 0;
+  const auto it = receivers_.find(session);
+  return it != receivers_.end() && node < it->second.size() && it->second[node].border;
 }
 
 net::DomainSummary ControllerAgent::build_session_summary(net::SessionId session,
                                                           sim::Time window_end) const {
-  net::DomainSummary summary;
-  summary.direction = net::DomainSummary::Direction::kDemand;
-  summary.session = session;
-  summary.window_end = window_end;
-  summary.window_start = window_end - config_.params.interval;
+  net::DomainSummary summary{.direction = net::DomainSummary::Direction::kDemand,
+                             .session = session,
+                             .window_start = window_end - config_.params.interval,
+                             .window_end = window_end};
 
   const auto it = registered_.find(session);
   if (it == registered_.end()) return summary;
+  const std::vector<Receiver>& row = receivers_.at(session);
   bool have_shared = false;
   for (const net::NodeId receiver : it->second) {
     // Borders of *our* children already stand in for whole subtrees; folding
     // them into our own upstream summary would double-count and hide which
     // loss is locally fixable, so only direct receivers aggregate.
-    if (is_border(session, receiver)) continue;
-    const ReportAggregate agg = aggregate_reports(session, receiver, window_end);
+    if (row[receiver].border) continue;
+    const ReportAggregate agg = aggregate_reports(row[receiver], window_end);
     if (!agg.valid) continue;
     ++summary.receiver_count;
     summary.subscription = std::max(summary.subscription, agg.subscription);
@@ -121,21 +118,12 @@ net::DomainSummary ControllerAgent::build_session_summary(net::SessionId session
 
 void ControllerAgent::ingest_border_summary(const net::DomainSummary& summary) {
   if (!enabled_) return;  // a dead controller reads nothing off the wire
-  net::ReceiverReport report;
-  report.receiver = summary.border;
-  report.session = summary.session;
-  report.subscription = summary.subscription;
-  report.loss_rate = summary.shared_loss;
-  report.bytes_received = summary.bytes_received;
-  report.received_packets = summary.received_packets;
-  report.lost_packets = summary.lost_packets;
-  report.window_start = summary.window_start;
-  report.window_end = summary.window_end;
-  report.report_seq = summary.summary_seq;
-  auto& history = reports_[key_of(report.session, report.receiver)];
-  history.push_back(report);
-  while (history.size() > config_.report_history_limit) history.pop_front();
-  ++summaries_ingested_;
+  remember(net::ReceiverReport{
+      .receiver = summary.border, .session = summary.session,
+      .subscription = summary.subscription, .loss_rate = summary.shared_loss,
+      .bytes_received = summary.bytes_received, .received_packets = summary.received_packets,
+      .lost_packets = summary.lost_packets, .window_start = summary.window_start,
+      .window_end = summary.window_end, .report_seq = summary.summary_seq});
 }
 
 void ControllerAgent::set_session_cap(net::SessionId session, int cap) {
@@ -151,13 +139,9 @@ int ControllerAgent::session_cap(net::SessionId session) const {
   return it == session_caps_.end() ? 0 : it->second;
 }
 
-int ControllerAgent::capped_subscription(const core::Prescription& prescription) {
+int ControllerAgent::capped_subscription(const core::Prescription& prescription) const {
   const int cap = session_cap(prescription.session);
-  if (cap > 0 && prescription.subscription > cap) {
-    ++caps_applied_;
-    return cap;
-  }
-  return prescription.subscription;
+  return cap > 0 ? std::min(prescription.subscription, cap) : prescription.subscription;
 }
 
 void ControllerAgent::handle_report(const net::Packet& packet) {
@@ -166,16 +150,25 @@ void ControllerAgent::handle_report(const net::Packet& packet) {
   if (report == nullptr) return;
   ++reports_received_;
   ledger_.on_report(*report);
-  auto& history = reports_[key_of(report->session, report->receiver)];
-  history.push_back(*report);
-  while (history.size() > config_.report_history_limit) history.pop_front();
+  remember(*report);
+}
+
+void ControllerAgent::remember(const net::ReceiverReport& report) {
+  const auto it = receivers_.find(report.session);
+  if (it == receivers_.end() || report.receiver >= it->second.size()) return;
+  // Exact: every aggregate_reports scan ends at window_end - 3 * interval with
+  // window_end >= now - info_staleness, and time only moves forward.
+  const sim::Time horizon =
+      simulation_.now() - config_.info_staleness - config_.params.interval * 3;
+  const auto stale = [&](const net::ReceiverReport& r) { return r.window_end <= horizon; };
+  std::vector<net::ReceiverReport>& reports = it->second[report.receiver].reports;
+  reports.erase(reports.begin(), std::ranges::find_if_not(reports, stale));
+  reports.push_back(report);
 }
 
 ControllerAgent::ReportAggregate ControllerAgent::aggregate_reports(
-    net::SessionId session, net::NodeId receiver, sim::Time window_end) const {
+    const Receiver& receiver, sim::Time window_end) const {
   ReportAggregate agg;
-  const auto it = reports_.find(key_of(session, receiver));
-  if (it == reports_.end()) return agg;
 
   // Fold in the newest reports that ended by `window_end` (staleness already
   // folded in by the caller) until they cover one algorithm interval.
@@ -189,7 +182,7 @@ ControllerAgent::ReportAggregate ControllerAgent::aggregate_reports(
   units::PacketCount lost{};
   sim::Time span_end{};
   sim::Time span_start{};
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
+  for (auto rit = receiver.reports.rbegin(); rit != receiver.reports.rend(); ++rit) {
     const net::ReceiverReport& r = *rit;
     if (r.window_end > window_end) continue;
     if (r.window_end <= oldest_usable) break;
@@ -234,8 +227,7 @@ void ControllerAgent::run_interval() {
   core::AlgorithmInput input;
   input.window = config_.params.interval;
 
-  // membership_ has exactly registered_'s sessions, in the same order.
-  for (const auto& [session, member] : membership_) {
+  for (auto& [session, row] : receivers_) {
     const topo::TopologySnapshot* snap = discovery_.snapshot(session);
     if (snap == nullptr || snap->source == net::kInvalidNode) continue;
 
@@ -253,8 +245,9 @@ void ControllerAgent::run_interval() {
     // TreeIndex drops anything unreachable from the source.
     for (const auto& [parent, child] : snap->edges) parent_of.emplace(parent, net::kInvalidNode);
 
-    const std::unordered_set<net::NodeId> snapshot_receivers{snap->receivers.begin(),
-                                                             snap->receivers.end()};
+    for (const net::NodeId receiver : snap->receivers) {
+      if (receiver < row.size()) row[receiver].in_snapshot = epoch_;
+    }
 
     for (const auto& [node, parent] : parent_of) {
       core::SessionNodeInput n;
@@ -262,9 +255,9 @@ void ControllerAgent::run_interval() {
       n.parent = parent;
       // Border pseudo-receivers are routers, never group members, so they are
       // admitted by registration alone; real receivers need both.
-      if ((snapshot_receivers.count(node) != 0 || is_border(session, node)) &&
-          node < member.size() && member[node] != 0) {
-        const ReportAggregate agg = aggregate_reports(session, node, report_cutoff);
+      if (node < row.size() && row[node].registered &&
+          (row[node].in_snapshot == epoch_ || row[node].border)) {
+        const ReportAggregate agg = aggregate_reports(row[node], report_cutoff);
         n.is_receiver = true;
         n.loss_rate = agg.loss_rate;
         n.bytes_received = agg.bytes;

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "control/accounting.hpp"
@@ -32,17 +30,19 @@ namespace tsim::control {
 /// ingest_border_summary), and the parent's prescription for that border
 /// comes back as a subscription cap the child clamps its own prescriptions
 /// to (set_session_cap).
+///
+/// Per session it keeps one NodeId-indexed row of receiver state. A report is
+/// dropped once its window ended by now - info_staleness - 3 * interval.
 class ControllerAgent final : public AdaptationController {
  public:
   struct Config {
     net::NodeId node{net::kInvalidNode};
     core::Params params{};
-    /// Loss/report staleness: the algorithm only consumes reports whose
+    /// Loss/report staleness, fixed per run: intervals only read reports whose
     /// window ended at or before now - info_staleness (Fig 10 pairs this with
-    /// the topology staleness configured on the DiscoveryService).
+    /// the DiscoveryService's topology staleness).
     sim::Time info_staleness{sim::Time::zero()};
     sim::Time start{sim::Time::milliseconds(2500)};
-    std::size_t report_history_limit{64};
   };
 
   ControllerAgent(sim::Simulation& simulation, net::Network& network,
@@ -51,7 +51,8 @@ class ControllerAgent final : public AdaptationController {
 
   /// Receivers register on session join (§II); registration is a direct call
   /// because the paper treats it as out-of-band setup. A repeat registration
-  /// of the same (session, receiver) is ignored.
+  /// of the same (session, receiver) is ignored. Reports for a session with
+  /// no registered receiver are billed but not kept.
   void register_receiver(net::SessionId session, net::NodeId receiver);
 
   /// AdaptationController: registers by the endpoint's (session, node). The
@@ -118,14 +119,12 @@ class ControllerAgent final : public AdaptationController {
   /// billing ledger or reports_received (those count real wire reports; the
   /// child domain already bills its own receivers).
   void ingest_border_summary(const net::DomainSummary& summary);
-  [[nodiscard]] std::uint64_t summaries_ingested() const { return summaries_ingested_; }
 
   /// Upstream ceiling for `session` from the parent domain's prescription for
   /// our border; every outgoing prescription of the session is clamped to it.
   /// cap <= 0 removes the cap.
   void set_session_cap(net::SessionId session, int cap);
   [[nodiscard]] int session_cap(net::SessionId session) const;  ///< 0 = uncapped
-  [[nodiscard]] std::uint64_t caps_applied() const { return caps_applied_; }
 
   /// Receives every prescription addressed to a border pseudo-receiver (in
   /// place of a wire suggestion). DomainManager turns these into downstream
@@ -151,7 +150,17 @@ class ControllerAgent final : public AdaptationController {
   void run_interval();
   void send_suggestion(const core::Prescription& prescription);
   /// The prescription's subscription after the session cap (if any).
-  [[nodiscard]] int capped_subscription(const core::Prescription& prescription);
+  [[nodiscard]] int capped_subscription(const core::Prescription& prescription) const;
+
+  /// One node's state in one session; only its reports die in an outage.
+  struct Receiver {
+    bool registered{false};
+    bool border{false};
+    std::uint32_t in_snapshot{0};  ///< epoch_ of the last snapshot listing it
+    std::vector<net::ReceiverReport> reports;  ///< newest at the back
+  };
+  /// Prunes the reports no interval can read, then appends `report`.
+  void remember(const net::ReceiverReport& report);
 
   /// Aggregate of the reports of one receiver that fall inside the algorithm
   /// window (respecting staleness).
@@ -163,7 +172,7 @@ class ControllerAgent final : public AdaptationController {
     units::PacketCount lost{};
     int subscription{1};
   };
-  [[nodiscard]] ReportAggregate aggregate_reports(net::SessionId session, net::NodeId receiver,
+  [[nodiscard]] ReportAggregate aggregate_reports(const Receiver& receiver,
                                                   sim::Time window_end) const;
 
   sim::Simulation& simulation_;
@@ -171,15 +180,12 @@ class ControllerAgent final : public AdaptationController {
   topo::TopologyProvider& discovery_;
   Config config_;
   core::TopoSense algorithm_;
-  /// Ordered map: run_interval iterates this to build AlgorithmInput, and the
-  /// session order must not depend on hash-table layout (determinism lint).
+  /// Registered receivers in registration order, read by registered().
   std::map<net::SessionId, std::vector<net::NodeId>> registered_;
-  /// Per session, a NodeId-indexed flag: 1 if the node is in registered_.
-  /// Registration and the interval's admission test look membership up here
-  /// in O(1) instead of scanning the ordered list.
-  std::map<net::SessionId, std::vector<std::uint8_t>> membership_;
-  /// (session<<32|receiver) -> recent reports, newest at the back.
-  std::unordered_map<std::uint64_t, std::deque<net::ReceiverReport>> reports_;
+  /// Per session, a row sized to the node count at its first registration.
+  /// Ordered: run_interval iterates it, and the session order must not
+  /// depend on hash-table layout (determinism lint).
+  std::map<net::SessionId, std::vector<Receiver>> receivers_;
   core::AlgorithmOutput last_output_;
   AccountingLedger ledger_;
   std::uint64_t reports_received_{0};
@@ -190,12 +196,8 @@ class ControllerAgent final : public AdaptationController {
   AuditHook audit_hook_;
 
   /// --- multi-domain state (empty and inert in single-domain runs) ---------
-  /// (session<<32|node) border membership; std::map for deterministic sweeps.
-  std::map<std::uint64_t, bool> borders_;
   std::map<net::SessionId, int> session_caps_;
   BorderHook border_hook_;
-  std::uint64_t summaries_ingested_{0};
-  std::uint64_t caps_applied_{0};
 };
 
 }  // namespace tsim::control

@@ -18,12 +18,13 @@ void DiscoveryService::start() {
 
 void DiscoveryService::sample_all() {
   const bool scoped = !config_.domain_nodes.empty();
+  const sim::Time cutoff = simulation_.now() - config_.staleness;
   for (const auto& [session, max_layer] : tracked_) {
-    TopologySnapshot snap;
-    snap.session = session;
-    snap.source = scoped ? config_.domain_root : mcast_.session_source(session);
-    snap.edges = mcast_.session_tree_edges(session, max_layer);
-    snap.receivers = mcast_.members(net::GroupAddr{session, 1});
+    TopologySnapshot snap{.session = session,
+                          .source = scoped ? config_.domain_root : mcast_.session_source(session),
+                          .edges = mcast_.session_tree_edges(session, max_layer),
+                          .receivers = mcast_.members(net::GroupAddr{session, 1}),
+                          .captured_at = simulation_.now()};
     if (scoped) {
       std::erase_if(snap.edges, [&](const auto& edge) {
         return config_.domain_nodes.count(edge.first) == 0 ||
@@ -33,18 +34,16 @@ void DiscoveryService::sample_all() {
         return config_.domain_nodes.count(r) == 0;
       });
     }
-    snap.captured_at = simulation_.now();
-
     std::deque<TopologySnapshot>& hist = history_[session];
     hist.push_back(std::move(snap));
-    while (hist.size() > config_.history_limit) hist.pop_front();
+    while (hist.size() > 1 && hist[1].captured_at <= cutoff) hist.pop_front();
   }
   simulation_.after(config_.sample_period, [this]() { sample_all(); });
 }
 
 const TopologySnapshot* DiscoveryService::snapshot(net::SessionId session) const {
   const auto it = history_.find(session);
-  if (it == history_.end() || it->second.empty()) return nullptr;
+  if (it == history_.end()) return nullptr;
   const sim::Time cutoff = simulation_.now() - config_.staleness;
   const TopologySnapshot* best = nullptr;
   for (const TopologySnapshot& snap : it->second) {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -21,13 +20,13 @@ namespace tsim::topo {
 /// the controller's domain, possibly out of date; the *only* property it
 /// studies is staleness (Fig 10). We therefore sample the ground-truth trees
 /// periodically and serve, at query time `t`, the newest sample captured at
-/// or before `t - staleness`.
+/// or before `t - staleness`. Staleness is fixed per run, so a sample is
+/// dropped once a newer one is that old: it can never be served again.
 class DiscoveryService final : public TopologyProvider {
  public:
   struct Config {
     sim::Time sample_period{sim::Time::seconds(1)};
     sim::Time staleness{sim::Time::zero()};
-    std::size_t history_limit{128};
 
     /// Domain scoping (§II / Fig 3): when non-empty, snapshots contain only
     /// tree edges with both endpoints inside the domain, rooted at
@@ -51,7 +50,13 @@ class DiscoveryService final : public TopologyProvider {
   [[nodiscard]] const TopologySnapshot* snapshot(net::SessionId session) const override;
 
   [[nodiscard]] const Config& config() const { return config_; }
-  void set_staleness(sim::Time staleness) { config_.staleness = staleness; }
+
+  /// Snapshots currently held (all sessions).
+  [[nodiscard]] std::size_t snapshot_history_size() const {
+    std::size_t n = 0;
+    for (const auto& [session, history] : history_) n += history.size();
+    return n;
+  }
 
  private:
   void sample_all();
@@ -62,7 +67,7 @@ class DiscoveryService final : public TopologyProvider {
   // Ordered: sample_all() iterates tracked_ and its iteration order decides
   // lazy tree-rebuild (and audit-hook) order, which must be deterministic.
   std::map<net::SessionId, net::LayerId> tracked_;
-  std::unordered_map<net::SessionId, std::deque<TopologySnapshot>> history_;
+  std::map<net::SessionId, std::deque<TopologySnapshot>> history_;  ///< oldest first
   bool started_{false};
 };
 

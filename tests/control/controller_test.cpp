@@ -45,7 +45,7 @@ struct ControlFixture : ::testing::Test {
     mcast.set_session_source(0, src);
 
     discovery = std::make_unique<topo::DiscoveryService>(
-        simulation, mcast, topo::DiscoveryService::Config{1_s, staleness, 64});
+        simulation, mcast, topo::DiscoveryService::Config{1_s, staleness});
 
     ControllerAgent::Config ccfg;
     ccfg.node = src;
@@ -150,6 +150,19 @@ TEST_F(ControlFixture, SlowReportingStillConverges) {
   build(10e6, Time::zero(), 4_s);
   simulation.run_until(90_s);
   EXPECT_EQ(endpoint->subscription(), 6);
+}
+
+TEST_F(ControlFixture, StalenessBeyondOldHistoryCapsStillSuggests) {
+  // Topology and reports 150 s out of date: more than a 128-snapshot or a
+  // 64-report (one per 2 s) count cap would keep. The histories live as long
+  // as staleness needs, so the controller keeps prescribing.
+  build(10e6, 150_s);
+  simulation.run_until(300_s);
+  const std::uint64_t before = controller->suggestions_sent();
+  simulation.run_until(600_s);
+  EXPECT_GT(controller->suggestions_sent(), before);
+  // ceil((150 s + 3 * 2 s) / 2 s) + 1 reports per receiver at most.
+  EXPECT_LE(controller->report_history_size(), 79u);
 }
 
 /// Discovery stand-in serving a hand-built snapshot, so a test decides

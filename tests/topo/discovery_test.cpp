@@ -29,7 +29,7 @@ struct DiscoveryFixture : ::testing::Test {
 };
 
 TEST_F(DiscoveryFixture, SnapshotCapturesTreeAndReceivers) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 16}};
+  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero()}};
   discovery.track_session(0, 6);
   mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
@@ -55,7 +55,7 @@ TEST_F(DiscoveryFixture, UntrackedSessionReturnsNull) {
 }
 
 TEST_F(DiscoveryFixture, StalenessServesOldTree) {
-  DiscoveryService discovery{simulation, mcast, {1_s, 5_s, 32}};
+  DiscoveryService discovery{simulation, mcast, {1_s, 5_s}};
   discovery.track_session(0, 6);
   mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
@@ -75,7 +75,7 @@ TEST_F(DiscoveryFixture, StalenessServesOldTree) {
 }
 
 TEST_F(DiscoveryFixture, StalenessLongerThanHistoryYieldsNull) {
-  DiscoveryService discovery{simulation, mcast, {1_s, 60_s, 8}};
+  DiscoveryService discovery{simulation, mcast, {1_s, 60_s}};
   discovery.track_session(0, 6);
   discovery.start();
   simulation.run_until(5_s);
@@ -84,25 +84,32 @@ TEST_F(DiscoveryFixture, StalenessLongerThanHistoryYieldsNull) {
 }
 
 TEST_F(DiscoveryFixture, HistoryIsBounded) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 4}};
+  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero()}};
   discovery.track_session(0, 6);
   discovery.start();
   simulation.run_until(100_s);
-  // With a 4-entry history and zero staleness, the snapshot is the latest.
+  // With zero staleness, the snapshot is the latest and the only one held.
   const TopologySnapshot* snap = discovery.snapshot(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_GE(snap->captured_at, 96_s);
+  EXPECT_EQ(discovery.snapshot_history_size(), 1u);
 }
 
-TEST_F(DiscoveryFixture, SetStalenessTakesEffect) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 64}};
+TEST_F(DiscoveryFixture, StalenessBeyondOldHistoryCapStillServes) {
+  // A 150 s staleness needs a snapshot from 150 samples ago, more than a
+  // count-capped history of 128 would keep. The history is bounded by
+  // staleness instead: ceil(150 s / 1 s) + 1 snapshots.
+  DiscoveryService discovery{simulation, mcast, {1_s, 150_s}};
   discovery.track_session(0, 6);
+  mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
-  simulation.run_until(20_s);
-  const Time fresh = discovery.snapshot(0)->captured_at;
-  discovery.set_staleness(10_s);
-  const Time stale = discovery.snapshot(0)->captured_at;
-  EXPECT_GE(fresh, stale + 9_s);
+  simulation.run_until(300_s);
+  const TopologySnapshot* snap = discovery.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_GE(snap->captured_at, 149_s);
+  EXPECT_LE(snap->captured_at, 150_s);
+  EXPECT_EQ(snap->receivers, (std::vector<net::NodeId>{a}));
+  EXPECT_LE(discovery.snapshot_history_size(), 151u);
 }
 
 }  // namespace
