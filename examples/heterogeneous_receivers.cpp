@@ -27,7 +27,7 @@ int main() {
 
   sim::Simulation simulation{2024};
   net::Network network{simulation};
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), Time::seconds(1)}};
+  mcast::MulticastRouter mcast{simulation, network, {Time::seconds(1)}};
   transport::DemuxRegistry demuxes{network};
 
   // Tiers: source -> national -> regional x3 -> receivers.
@@ -79,7 +79,7 @@ int main() {
       endpoints.push_back(std::make_unique<transport::ReceiverEndpoint>(
           simulation, network, mcast, demuxes.at(rcv), ecfg));
       agents.push_back(std::make_unique<control::ReceiverAgent>(
-          simulation, *endpoints.back(), control::ReceiverAgent::Config{}));
+          simulation, *endpoints.back(), ccfg.params.interval));
       controller.register_receiver(0, rcv);
       names.push_back(std::string{tier.name} + std::to_string(i));
       optima.push_back(ccfg.params.layers.max_layers_for_bandwidth(tsim::units::BitsPerSec{tier.bps}));

@@ -93,7 +93,7 @@ int main() {
       endpoints.push_back(std::make_unique<transport::ReceiverEndpoint>(
           simulation, network, mcast, demuxes.at(rcv), ecfg));
       agents.push_back(std::make_unique<control::ReceiverAgent>(
-          simulation, *endpoints.back(), control::ReceiverAgent::Config{}));
+          simulation, *endpoints.back(), ccfg.params.interval));
       domain.controller->register_receiver(0, rcv);
       timelines.emplace_back(Time::zero(), 0);
       const std::size_t slot = timelines.size() - 1;

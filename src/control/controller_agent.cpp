@@ -1,7 +1,6 @@
 #include "control/controller_agent.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <variant>
 
@@ -224,35 +223,51 @@ void ControllerAgent::run_interval() {
   const sim::Time now = simulation_.now();
   const sim::Time report_cutoff = now - config_.info_staleness;
 
-  core::AlgorithmInput input;
+  // The input's buffers are kept across intervals: each session's node
+  // vector is cleared and refilled, so a steady tree allocates nothing.
+  core::AlgorithmInput& input = input_;
   input.window = config_.params.interval;
+  std::size_t used = 0;
 
   for (auto& [session, row] : receivers_) {
     const topo::TopologySnapshot* snap = discovery_.snapshot(session);
     if (snap == nullptr || snap->source == net::kInvalidNode) continue;
 
-    core::SessionInput session_input;
+    if (used == input.sessions.size()) input.sessions.emplace_back();
+    core::SessionInput& session_input = input.sessions[used];
     session_input.session = session;
     session_input.source = snap->source;
+    session_input.nodes.clear();
 
-    // Collect tree nodes from the snapshot's edges (plus the source). Ordered
-    // map: the iteration below fixes the node order of the algorithm input,
-    // which must not depend on hash-table layout (determinism lint).
-    std::map<net::NodeId, net::NodeId> parent_of;
-    parent_of[snap->source] = net::kInvalidNode;
-    for (const auto& [parent, child] : snap->edges) parent_of.emplace(child, parent);
-    // Edges may mention parents the snapshot didn't root (stale artifacts);
-    // TreeIndex drops anything unreachable from the source.
-    for (const auto& [parent, child] : snap->edges) parent_of.emplace(parent, net::kInvalidNode);
+    // Collect tree nodes from the snapshot's edges (plus the source): the
+    // source unrooted, each edge's child under its parent, then each edge's
+    // parent unrooted (edges may mention parents the snapshot didn't root —
+    // stale artifacts; TreeIndex drops anything unreachable from the source).
+    // A node's first mention wins, and nodes go out in NodeId order, so the
+    // algorithm input never depends on hash-table layout (determinism lint).
+    tree_nodes_.clear();
+    const auto mention = [this](net::NodeId node, net::NodeId parent) {
+      tree_nodes_.push_back(
+          {node, static_cast<std::uint32_t>(tree_nodes_.size()), parent});
+    };
+    mention(snap->source, net::kInvalidNode);
+    for (const auto& [parent, child] : snap->edges) mention(child, parent);
+    for (const auto& [parent, child] : snap->edges) mention(parent, net::kInvalidNode);
+    std::sort(tree_nodes_.begin(), tree_nodes_.end(),
+              [](const TreeNode& a, const TreeNode& b) {
+                return a.node != b.node ? a.node < b.node : a.order < b.order;
+              });
 
     for (const net::NodeId receiver : snap->receivers) {
       if (receiver < row.size()) row[receiver].in_snapshot = epoch_;
     }
 
-    for (const auto& [node, parent] : parent_of) {
+    for (std::size_t k = 0; k < tree_nodes_.size(); ++k) {
+      const net::NodeId node = tree_nodes_[k].node;
+      if (k > 0 && tree_nodes_[k - 1].node == node) continue;  // a later mention
       core::SessionNodeInput n;
       n.node = node;
-      n.parent = parent;
+      n.parent = tree_nodes_[k].parent;
       // Border pseudo-receivers are routers, never group members, so they are
       // admitted by registration alone; real receivers need both.
       if (node < row.size() && row[node].registered &&
@@ -265,8 +280,10 @@ void ControllerAgent::run_interval() {
       }
       session_input.nodes.push_back(n);
     }
-    if (session_input.nodes.size() > 1) input.sessions.push_back(std::move(session_input));
+    if (session_input.nodes.size() > 1) ++used;
   }
+  // Sessions only shrink when one loses its snapshot or its tree.
+  input.sessions.resize(used);
 
   if (!input.sessions.empty()) {
     last_output_ = algorithm_.run_interval(input, now);

@@ -42,6 +42,8 @@ class ControllerAgent final : public AdaptationController {
     /// window ended at or before now - info_staleness (Fig 10 pairs this with
     /// the DiscoveryService's topology staleness).
     sim::Time info_staleness{sim::Time::zero()};
+    /// First interval. Offset from the receivers' report period so a run
+    /// always has fresh reports to read.
     sim::Time start{sim::Time::milliseconds(2500)};
   };
 
@@ -187,6 +189,15 @@ class ControllerAgent final : public AdaptationController {
   /// depend on hash-table layout (determinism lint).
   std::map<net::SessionId, std::vector<Receiver>> receivers_;
   core::AlgorithmOutput last_output_;
+  /// run_interval scratch, kept for its capacity: the algorithm input, and
+  /// every (node, parent) mention of one session's snapshot, in mention order.
+  core::AlgorithmInput input_;
+  struct TreeNode {
+    net::NodeId node;
+    std::uint32_t order;
+    net::NodeId parent;
+  };
+  std::vector<TreeNode> tree_nodes_;
   AccountingLedger ledger_;
   std::uint64_t reports_received_{0};
   std::uint64_t suggestions_sent_{0};

@@ -31,21 +31,17 @@ struct Domain {
 
 /// The paper's per-domain deployment unit for TopoSense: a topology provider
 /// scoped to the domain, the controller agent consuming only this domain's
-/// receiver reports, and the per-receiver watchdog agents — constructed and
-/// started in exactly the order the single-controller scenario wiring used,
-/// so a one-domain run is bit-identical to the pre-domain code (pinned by
+/// receiver reports, and the per-receiver watchdog agents (which expect the
+/// controller's interval) — constructed and started in exactly the order the
+/// single-controller scenario wiring used, so a one-domain run is
+/// bit-identical to the pre-domain code (pinned by
 /// tests/control/domain_manager_test.cpp).
 class TopoSenseDomain final : public AdaptationController {
  public:
-  struct Config {
-    ControllerAgent::Config agent{};
-    ReceiverAgent::Config watchdog{};
-    bool install_watchdogs{true};
-  };
-
   TopoSenseDomain(sim::Simulation& simulation, net::Network& network,
                   transport::DemuxRegistry& demuxes,
-                  std::unique_ptr<topo::TopologyProvider> discovery, Config config);
+                  std::unique_ptr<topo::TopologyProvider> discovery,
+                  const ControllerAgent::Config& agent);
 
   ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
   void start() override;
@@ -63,7 +59,6 @@ class TopoSenseDomain final : public AdaptationController {
 
  private:
   sim::Simulation& simulation_;
-  Config config_;
   std::unique_ptr<topo::TopologyProvider> discovery_;
   std::unique_ptr<ControllerAgent> agent_;
   std::vector<std::unique_ptr<ReceiverAgent>> watchdogs_;

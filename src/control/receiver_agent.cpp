@@ -5,8 +5,8 @@
 namespace tsim::control {
 
 ReceiverAgent::ReceiverAgent(sim::Simulation& simulation,
-                             transport::ReceiverEndpoint& endpoint, Config config)
-    : simulation_{simulation}, endpoint_{endpoint}, config_{config} {
+                             transport::ReceiverEndpoint& endpoint, sim::Time interval)
+    : simulation_{simulation}, endpoint_{endpoint}, interval_{interval} {
   endpoint_.on_suggestion([this](const net::Suggestion& suggestion) {
     // Stale-but-reordered suggestions are impossible over our FIFO links, but
     // a lost interval makes epochs skip; accept any epoch >= the last seen.
@@ -19,18 +19,10 @@ ReceiverAgent::ReceiverAgent(sim::Simulation& simulation,
   });
 }
 
-sim::Time ReceiverAgent::silence_horizon() const {
-  if (config_.expected_interval > sim::Time::zero()) {
-    return config_.expected_interval * std::max(config_.missed_intervals, 1);
-  }
-  return config_.unilateral_timeout;
-}
+ReceiverAgent::~ReceiverAgent() { simulation_.cancel(check_event_); }
 
 void ReceiverAgent::start() {
-  last_suggestion_ = config_.start;
-  if (config_.enable_unilateral) {
-    simulation_.at(config_.start + config_.check_period, [this]() { check_silence(); });
-  }
+  check_event_ = simulation_.at(kCheckPeriod, [this]() { check_silence(); });
 }
 
 void ReceiverAgent::note_gap(sim::Time now) {
@@ -50,27 +42,25 @@ void ReceiverAgent::check_silence() {
                          window.received_packets == units::PacketCount::zero() &&
                          window.lost_packets == units::PacketCount::zero();
     const sim::Time horizon = silence_horizon();
-    const sim::Time emergency =
-        std::min(horizon, std::max(config_.emergency_timeout, config_.check_period));
+    const sim::Time emergency = std::min(horizon, kEmergencyTimeout);
     const sim::Time silence = now - last_suggestion_;
-    if (silence > horizon) gap_time_ = gap_time_ + config_.check_period;
+    if (silence > horizon) gap_time_ = gap_time_ + kCheckPeriod;
 
-    const bool emergency_case = loss > config_.emergency_loss || starved;
+    const bool emergency_case = loss > kEmergencyLoss || starved;
     if (silence > (emergency_case ? emergency : horizon)) {
       // No guidance: protect the network on our own, one layer at a time.
-      if ((loss > config_.unilateral_drop_loss || starved) && endpoint_.subscription() > 1) {
+      if ((loss > kDropLoss || starved) && endpoint_.subscription() > 1) {
         endpoint_.set_subscription(endpoint_.subscription() - 1);
         ++unilateral_drops_;
         last_suggestion_ = now;  // give the drop time to take effect
         if (unilateral_hook_) {
           unilateral_hook_(UnilateralAction{false, loss, starved, endpoint_.subscription()});
         }
-      } else if (config_.enable_unilateral_add && !starved &&
-                 loss < config_.unilateral_add_loss &&
+      } else if (!starved && loss < kAddLoss &&
                  window.received_packets > units::PacketCount::zero() &&
                  endpoint_.subscription() <
                      static_cast<int>(endpoint_.config().layers.num_layers) &&
-                 now - last_unilateral_add_ >= config_.add_holdoff) {
+                 now - last_unilateral_add_ >= kAddHoldoff) {
         // Data flows cleanly but the controller is mute: probe one layer up
         // (the receiver-driven fallback), spaced by the add holdoff so a
         // failed probe's congestion clears before the next attempt.
@@ -83,7 +73,7 @@ void ReceiverAgent::check_silence() {
       }
     }
   }
-  simulation_.after(config_.check_period, [this]() { check_silence(); });
+  check_event_ = simulation_.after(kCheckPeriod, [this]() { check_silence(); });
 }
 
 }  // namespace tsim::control

@@ -7,7 +7,9 @@ namespace tsim::core {
 
 /// Tunables of the TopoSense algorithm. Defaults follow the paper where it
 /// gives numbers and sensible engineering choices where it does not (each
-/// such choice has an ablation bench; see DESIGN.md).
+/// such choice has an ablation bench; see DESIGN.md). Values no experiment
+/// varies are constants beside the code that reads them (see
+/// docs/parameters.md).
 struct Params {
   /// Loss-rate threshold above which a node counts as congested
   /// (p_threshold in the paper).
@@ -16,23 +18,13 @@ struct Params {
   /// "loss rate is high" in Table I (leaf drop on history 001/Lesser).
   double high_loss{0.08};
 
-  /// "loss is very high" in Table I (leaf halving on 3,7/Greater).
-  double very_high_loss{0.20};
-
   /// Fraction of children whose loss must sit close to the mean child loss
   /// for an internal node to be labelled congested (eta_similar).
   double eta_similar{0.6};
 
-  /// Band around the mean child loss that counts as "close": the max of this
-  /// absolute band and `similar_rel` times the mean. The relative term keeps
-  /// heavily congested siblings (e.g. 20% vs 38% loss) classified as sharing
-  /// one bottleneck — at high loss rates, absolute spread is large.
+  /// Absolute band around the mean child loss that counts as "close"; the
+  /// labeling widens it by a relative term (see passes.cpp).
   double similar_band{0.02};
-  double similar_rel{0.5};
-
-  /// Relative tolerance for the Table-I "BW Equality" comparison of bytes
-  /// received in the two preceding intervals.
-  double bw_equal_tolerance{0.15};
 
   /// Multiplicative inflation applied to a finite link-capacity estimate each
   /// interval ("the estimate is increased every interval by a small amount").
@@ -59,14 +51,6 @@ struct Params {
   /// Algorithm period: reports are aggregated and suggestions recomputed
   /// once per interval.
   sim::Time interval{sim::Time::seconds(2)};
-
-  /// Minimum intervals between successive layer additions by one receiver.
-  ///1 reproduces Table I verbatim (an eligible leaf adds every interval);
-  /// larger values pace blind probes below the control loop's feedback lag.
-  /// In practice pacing trades probe depth for probe frequency and ends up
-  /// roughly neutral (see the interval-size ablation), so the paper's
-  /// add-per-interval behaviour is the default.
-  int add_cooldown_intervals{1};
 
   /// Randomized backoff applied to a dropped layer so no receiver in the
   /// subtree re-subscribes it immediately ("random back-off interval"). The

@@ -9,6 +9,12 @@ namespace tsim::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Relative widening of Params::similar_band: a child counts as "close" to the
+/// mean child loss within max(similar_band, kSimilarRel * mean). The relative
+/// term keeps heavily congested siblings (e.g. 20% vs 38% loss) classified as
+/// sharing one bottleneck — at high loss rates, absolute spread is large.
+constexpr double kSimilarRel = 0.5;
 }
 
 LabeledTree::LabeledTree(TreeIndex t)
@@ -64,7 +70,7 @@ void label_congestion(LabeledTree& lt, const Params& params) {
     bool self_congested = false;
     if (child_count > 0 && above_threshold == child_count) {
       const double mean = sum_loss / static_cast<double>(child_count);
-      const double band = std::max(params.similar_band, params.similar_rel * mean);
+      const double band = std::max(params.similar_band, kSimilarRel * mean);
       std::size_t similar =
           n.is_receiver && std::abs(n.loss_rate.value() - mean) <= band ? 1 : 0;
       for (const auto c : tree.children(i)) {

@@ -8,7 +8,14 @@ namespace tsim::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+
+/// "loss is very high" in Table I (leaf halving on 3,7/Greater).
+constexpr double kVeryHighLoss = 0.20;
+
+/// Relative tolerance for the Table-I "BW Equality" comparison of bytes
+/// received in the two preceding intervals.
+constexpr double kBwEqualTolerance = 0.15;
+}  // namespace
 
 TopoSense::TopoSense(Params params, sim::Rng rng)
     : params_{params}, rng_{rng}, capacities_{params_} {}
@@ -17,7 +24,7 @@ BwEquality TopoSense::classify_equality(units::Bytes prev, units::Bytes cur) con
   const double a = static_cast<double>(prev.count());
   const double b = static_cast<double>(cur.count());
   const double scale = std::max({a, b, 1.0});
-  if (std::abs(a - b) <= params_.bw_equal_tolerance * scale) return BwEquality::kEqual;
+  if (std::abs(a - b) <= kBwEqualTolerance * scale) return BwEquality::kEqual;
   return a < b ? BwEquality::kLesser : BwEquality::kGreater;
 }
 
@@ -171,17 +178,7 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
                 lt.share_bps[i] == kInf ? 0 : layers_for_bw(units::BitsPerSec{lt.share_bps[i]});
             const bool proven_safe = next <= share_cap || next <= stable_level;
             const bool blocked = !proven_safe && backoff_on_path(tree, i, next, now);
-            // Pace blind probes to the feedback latency of the control loop;
-            // proven-safe adds (fair share / stable level) are not probes.
-            const bool cooling =
-                !proven_safe && mem.last_add_interval +
-                                        static_cast<std::uint64_t>(
-                                            params_.add_cooldown_intervals) >
-                                    interval_count_;
-            if (next > sub && !blocked && !cooling) {
-              d = next;
-              mem.last_add_interval = interval_count_;
-            }
+            if (next > sub && !blocked) d = next;
             break;
           }
           case LeafAction::kDropIfHighLoss:
@@ -204,7 +201,7 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
             }
             break;
           case LeafAction::kHalveIfVeryHighLoss:
-            if (lt.loss[i] > params_.very_high_loss) {
+            if (lt.loss[i] > kVeryHighLoss) {
               d = std::min(sub, std::max(1, layers_for_bw(prev_supply / 2.0)));
             }
             break;

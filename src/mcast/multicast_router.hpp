@@ -49,17 +49,15 @@ struct GroupTree {
 
 /// IGMP/PIM-flavoured group management and multicast forwarding.
 ///
-/// Two latencies model the paper's §V "group-leave latency" concern:
-///  * `join_latency`  — delay between a join request and packets flowing
-///    (graft propagation; default 0 as grafts are fast).
-///  * `leave_latency` — after a leave, the tree keeps carrying traffic toward
-///    the departed member for this long (IGMP last-member query), so dropping
-///    a layer does NOT immediately relieve congestion. Local delivery stops
-///    immediately, matching a host that closed its socket.
+/// Grafts are instant: a join delivers from the next rebuild on. The paper's
+/// §V "group-leave latency" concern is `leave_latency`: after a leave, the
+/// tree keeps carrying traffic toward the departed member for this long (IGMP
+/// last-member query), so dropping a layer does NOT immediately relieve
+/// congestion. Local delivery stops immediately, matching a host that closed
+/// its socket.
 class MulticastRouter final : public net::MulticastForwarder {
  public:
   struct Config {
-    sim::Time join_latency{sim::Time::zero()};
     sim::Time leave_latency{sim::Time::seconds(1)};
   };
 
@@ -72,7 +70,7 @@ class MulticastRouter final : public net::MulticastForwarder {
   void set_session_source(net::SessionId session, net::NodeId source);
   [[nodiscard]] net::NodeId session_source(net::SessionId session) const;
 
-  /// Subscribes `member` to `group`. Delivery starts after join_latency.
+  /// Subscribes `member` to `group`. Delivery starts at once.
   void join(net::NodeId member, net::GroupAddr group);
 
   /// Unsubscribes `member`. Local delivery stops now; upstream forwarding
@@ -132,7 +130,6 @@ class MulticastRouter final : public net::MulticastForwarder {
  private:
   struct MemberState {
     bool local_active{false};                ///< packets delivered to the host
-    bool join_pending{false};                ///< graft in flight
     sim::Time forward_until{sim::Time::zero()};  ///< tree carries traffic until then
   };
   struct GroupState {

@@ -1,5 +1,6 @@
 #include "scenarios/scenario.hpp"
 
+#include "baseline/receiver_driven.hpp"
 #include "core/optimal_allocator.hpp"
 
 #include <algorithm>
@@ -16,14 +17,21 @@ using sim::Time;
 
 namespace {
 
-/// Queue provisioning: at least the configured floor, grown to the link's
-/// bandwidth-delay product when queues.bdp_sizing is on.
+/// Propagation delay of every link the topology factories build.
+constexpr Time kLinkLatency = Time::milliseconds(200);
+
+/// Queue floor in packets, for links too slow for their bandwidth-delay
+/// product to reach it.
+constexpr std::size_t kQueueFloorPackets = 30;
+
+/// Queue provisioning: the link's bandwidth-delay product at kLinkLatency (the
+/// standard drop-tail provisioning rule), and at least the floor. Topology
+/// file links without a `queue` size use it too, whatever their own latency.
 std::size_t queue_limit_for(const ScenarioConfig& config, double bandwidth_bps) {
-  if (!config.queues.bdp_sizing) return config.queues.limit_packets;
-  const double bdp_bytes = bandwidth_bps * config.link_latency.as_seconds() / 8.0;
+  const double bdp_bytes = bandwidth_bps * kLinkLatency.as_seconds() / 8.0;
   const auto bdp_packets =
       static_cast<std::size_t>(bdp_bytes / config.params.layers.packet_size_bytes);
-  return std::max(config.queues.limit_packets, bdp_packets);
+  return std::max(kQueueFloorPackets, bdp_packets);
 }
 
 }  // namespace
@@ -118,19 +126,10 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
     const std::vector<control::Domain>& all) {
   switch (config_.control.kind) {
     case ControllerKind::kTopoSense: {
-      control::TopoSenseDomain::Config tcfg;
-      tcfg.agent.node = domain.controller_node;
-      tcfg.agent.params = config_.params;
-      tcfg.agent.info_staleness = config_.control.info_staleness;
-      // Offset the controller's period from the receivers' report period so a
-      // run always has fresh reports to read.
-      tcfg.agent.start = Time::milliseconds(2500);
-      tcfg.watchdog = config_.control.receiver_agent;
-      // Wire the watchdog to the controller cadence it actually faces, unless
-      // the experiment pinned an explicit expectation.
-      if (tcfg.watchdog.expected_interval == Time::zero()) {
-        tcfg.watchdog.expected_interval = config_.params.interval;
-      }
+      control::ControllerAgent::Config acfg;
+      acfg.node = domain.controller_node;
+      acfg.params = config_.params;
+      acfg.info_staleness = config_.control.info_staleness;
 
       std::unique_ptr<topo::TopologyProvider> discovery;
       if (config_.control.discovery == DiscoveryMode::kOracle) {
@@ -178,13 +177,11 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
         discovery = std::move(mtrace);
       }
       return std::make_unique<control::TopoSenseDomain>(*simulation_, *network_, *demuxes_,
-                                                        std::move(discovery), tcfg);
+                                                        std::move(discovery), acfg);
     }
-    case ControllerKind::kReceiverDriven: {
-      baseline::ReceiverDrivenController::Config rd = config_.control.receiver_driven;
-      rd.period = config_.params.interval;
-      return std::make_unique<baseline::ReceiverDrivenController>(*simulation_, rd);
-    }
+    case ControllerKind::kReceiverDriven:
+      return std::make_unique<baseline::ReceiverDrivenController>(*simulation_,
+                                                                  config_.params.interval);
     case ControllerKind::kNone:
       return std::make_unique<control::NullController>();
   }
@@ -273,14 +270,14 @@ void Scenario::finalize() {
       control::ReceiverAgent& agent = *receiver_agents_[i];
       const net::NodeId node = results_[i].node;
       agent.set_unilateral_hook(
-          [this, node, &agent](const control::ReceiverAgent::UnilateralAction& action) {
+          [this, node](const control::ReceiverAgent::UnilateralAction& action) {
             check::InvariantAuditor::WatchdogObservation obs;
             obs.node = node;
             obs.add = action.add;
             obs.loss = action.loss;
             obs.starved = action.starved;
-            obs.add_loss_threshold = agent.config().unilateral_add_loss;
-            obs.drop_loss_threshold = agent.config().unilateral_drop_loss;
+            obs.add_loss_threshold = control::ReceiverAgent::kAddLoss;
+            obs.drop_loss_threshold = control::ReceiverAgent::kDropLoss;
             auditor_->on_unilateral_action(obs);
           });
     }
@@ -384,11 +381,11 @@ std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& confi
   const net::NodeId r0 = netw.add_node("r0");
   const net::NodeId r1 = netw.add_node("r1");
   const net::NodeId r2 = netw.add_node("r2");
-  netw.add_duplex_link(source, r0, units::BitsPerSec{options.backbone_bps}, config.link_latency,
+  netw.add_duplex_link(source, r0, units::BitsPerSec{options.backbone_bps}, kLinkLatency,
                        queue_limit_for(config, options.backbone_bps));
-  netw.add_duplex_link(r0, r1, units::BitsPerSec{options.bottleneck1_bps}, config.link_latency,
+  netw.add_duplex_link(r0, r1, units::BitsPerSec{options.bottleneck1_bps}, kLinkLatency,
                        queue_limit_for(config, options.bottleneck1_bps));
-  netw.add_duplex_link(r0, r2, units::BitsPerSec{options.bottleneck2_bps}, config.link_latency,
+  netw.add_duplex_link(r0, r2, units::BitsPerSec{options.bottleneck2_bps}, kLinkLatency,
                        queue_limit_for(config, options.bottleneck2_bps));
 
   s->controller_node_ = source;
@@ -418,14 +415,14 @@ std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& confi
 
   for (int i = 0; i < options.receivers_per_set; ++i) {
     const net::NodeId rcv = netw.add_node("set1_recv" + std::to_string(i));
-    netw.add_duplex_link(r1, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
+    netw.add_duplex_link(r1, rcv, units::BitsPerSec{options.access_bps}, kLinkLatency,
                          queue_limit_for(config, options.access_bps));
     const auto [start, stop] = window_for(i);
     s->add_receiver(rcv, 0, optimal1, "set1/" + std::to_string(i), start, stop);
   }
   for (int i = 0; i < options.receivers_per_set; ++i) {
     const net::NodeId rcv = netw.add_node("set2_recv" + std::to_string(i));
-    netw.add_duplex_link(r2, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
+    netw.add_duplex_link(r2, rcv, units::BitsPerSec{options.access_bps}, kLinkLatency,
                          queue_limit_for(config, options.access_bps));
     const auto [start, stop] = window_for(i);
     s->add_receiver(rcv, 0, optimal2, "set2/" + std::to_string(i), start, stop);
@@ -454,7 +451,7 @@ std::unique_ptr<Scenario> Scenario::build_topology_b(const ScenarioConfig& confi
   const net::NodeId ra = netw.add_node("ra");
   const net::NodeId rb = netw.add_node("rb");
   const double shared_bps = options.per_session_bps * options.sessions;
-  netw.add_duplex_link(ra, rb, units::BitsPerSec{shared_bps}, config.link_latency,
+  netw.add_duplex_link(ra, rb, units::BitsPerSec{shared_bps}, kLinkLatency,
                        queue_limit_for(config, shared_bps));
 
   const int optimal = config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.per_session_bps});
@@ -462,7 +459,7 @@ std::unique_ptr<Scenario> Scenario::build_topology_b(const ScenarioConfig& confi
   std::vector<net::NodeId> source_nodes;
   for (int k = 0; k < options.sessions; ++k) {
     const net::NodeId src = netw.add_node("source" + std::to_string(k));
-    netw.add_duplex_link(src, ra, units::BitsPerSec{options.access_bps}, config.link_latency,
+    netw.add_duplex_link(src, ra, units::BitsPerSec{options.access_bps}, kLinkLatency,
                          queue_limit_for(config, options.access_bps));
     source_nodes.push_back(src);
     s->mcast_->set_session_source(static_cast<net::SessionId>(k), src);
@@ -480,7 +477,7 @@ std::unique_ptr<Scenario> Scenario::build_topology_b(const ScenarioConfig& confi
 
   for (int k = 0; k < options.sessions; ++k) {
     const net::NodeId rcv = netw.add_node("recv" + std::to_string(k));
-    netw.add_duplex_link(rb, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
+    netw.add_duplex_link(rb, rcv, units::BitsPerSec{options.access_bps}, kLinkLatency,
                          queue_limit_for(config, options.access_bps));
     s->add_receiver(rcv, static_cast<net::SessionId>(k), optimal,
                     "session" + std::to_string(k), options.session_stagger * k);
@@ -513,7 +510,7 @@ std::unique_ptr<Scenario> Scenario::build_tiered(const ScenarioConfig& config,
   std::unordered_map<core::LinkKey, units::BitsPerSec> capacities;
   const net::NodeId source = netw.add_node("source");
   const net::NodeId national = netw.add_node("national");
-  netw.add_duplex_link(source, national, units::BitsPerSec{options.backbone_bps}, config.link_latency,
+  netw.add_duplex_link(source, national, units::BitsPerSec{options.backbone_bps}, kLinkLatency,
                        queue_limit_for(config, options.backbone_bps));
   capacities[core::LinkKey{source, national}] = units::BitsPerSec{options.backbone_bps};
 
@@ -535,7 +532,7 @@ std::unique_ptr<Scenario> Scenario::build_tiered(const ScenarioConfig& config,
 
   auto add_tier_node = [&](const std::string& name, net::NodeId parent, double bps) {
     const net::NodeId id = netw.add_node(name);
-    netw.add_duplex_link(parent, id, units::BitsPerSec{bps}, config.link_latency,
+    netw.add_duplex_link(parent, id, units::BitsPerSec{bps}, kLinkLatency,
                          queue_limit_for(config, bps));
     capacities[core::LinkKey{parent, id}] = units::BitsPerSec{bps};
     core::SessionNodeInput n;
@@ -604,7 +601,7 @@ std::unique_ptr<Scenario> Scenario::build_star(const ScenarioConfig& config,
 
   const net::NodeId source = netw.add_node("source");
   const net::NodeId hub = netw.add_node("hub");
-  netw.add_duplex_link(source, hub, units::BitsPerSec{options.backbone_bps}, config.link_latency,
+  netw.add_duplex_link(source, hub, units::BitsPerSec{options.backbone_bps}, kLinkLatency,
                        queue_limit_for(config, options.backbone_bps));
 
   s->controller_node_ = source;
@@ -625,7 +622,7 @@ std::unique_ptr<Scenario> Scenario::build_star(const ScenarioConfig& config,
       config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.access_bps});
   for (int i = 0; i < options.receivers; ++i) {
     const net::NodeId rcv = netw.add_node("recv" + std::to_string(i));
-    netw.add_duplex_link(hub, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
+    netw.add_duplex_link(hub, rcv, units::BitsPerSec{options.access_bps}, kLinkLatency,
                          queue_limit_for(config, options.access_bps));
     s->add_receiver(rcv, 0, optimal, "star/" + std::to_string(i));
   }

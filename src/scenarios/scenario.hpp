@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/receiver_driven.hpp"
 #include "check/invariant_auditor.hpp"
 #include "control/adaptation_controller.hpp"
 #include "control/controller_agent.hpp"
@@ -59,11 +58,6 @@ struct ScenarioConfig {
     sim::Time fluid_step{sim::Time::milliseconds(100)};
   };
   struct Queues {
-    std::size_t limit_packets{30};
-    /// Size each link's queue to at least its bandwidth-delay product (the
-    /// standard drop-tail provisioning rule); the floor above still applies
-    /// to slow links. Disable to study shallow-buffer behaviour.
-    bool bdp_sizing{true};
     /// Use RED instead of drop-tail on every link (§V burst-loss ablation).
     bool red{false};
   };
@@ -75,8 +69,6 @@ struct ScenarioConfig {
     /// interval" (the paper's setup). Faster reporting gives the controller
     /// sub-interval loss visibility at the cost of more control traffic.
     sim::Time report_period{sim::Time::zero()};
-    ::tsim::control::ReceiverAgent::Config receiver_agent{};
-    ::tsim::baseline::ReceiverDrivenController::Config receiver_driven{};
     /// Layers each receiver joins at start (clamped to [0, num_layers]).
     /// The paper's receivers start at 1; scale studies start higher so the
     /// data plane dominates from t=0.
@@ -97,7 +89,6 @@ struct ScenarioConfig {
   std::uint64_t seed{1};
   core::Params params{};
   sim::Time duration{sim::Time::seconds(1200)};
-  sim::Time link_latency{sim::Time::milliseconds(200)};
   Traffic traffic{};
   Queues queues{};
   Control control{};

@@ -29,7 +29,7 @@ struct ControlFixture : ::testing::Test {
   net::NodeId src{network.add_node("src")};
   net::NodeId r{network.add_node("r")};
   net::NodeId rcv{network.add_node("rcv")};
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 1_s}};
+  mcast::MulticastRouter mcast{simulation, network, {1_s}};
   transport::DemuxRegistry demuxes{network};
   std::unique_ptr<topo::DiscoveryService> discovery;
   std::unique_ptr<ControllerAgent> controller;
@@ -68,7 +68,7 @@ struct ControlFixture : ::testing::Test {
     ecfg.report_period = report_period;
     endpoint = std::make_unique<transport::ReceiverEndpoint>(simulation, network, mcast,
                                                              demuxes.at(rcv), ecfg);
-    agent = std::make_unique<ReceiverAgent>(simulation, *endpoint, ReceiverAgent::Config{});
+    agent = std::make_unique<ReceiverAgent>(simulation, *endpoint, 2_s);
 
     discovery->start();
     controller->start();
@@ -295,9 +295,7 @@ TEST(ReceiverAgentTest, UnilateralDropOnSuggestionSilence) {
   ecfg.initial_subscription = 4;
   transport::ReceiverEndpoint endpoint{simulation, network, mcast, demuxes.at(rcv), ecfg};
 
-  ReceiverAgent::Config acfg;
-  acfg.unilateral_timeout = 6_s;
-  ReceiverAgent agent{simulation, endpoint, acfg};
+  ReceiverAgent agent{simulation, endpoint, 2_s};  // 6 s silence horizon
 
   source.start();
   endpoint.start();

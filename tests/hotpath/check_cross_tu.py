@@ -44,7 +44,7 @@ def main():
         print("missing cross-TU finding or chain in output:")
         print(proc.stdout)
         return 1
-    if "1 new finding(s)" not in proc.stdout:
+    if "1 finding(s)" not in proc.stdout:
         print("expected exactly one finding:")
         print(proc.stdout)
         return 1

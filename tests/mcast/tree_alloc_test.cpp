@@ -24,7 +24,7 @@ using sim::Time;
 TEST(TreeAlloc, RebuildCyclesOnTieredTreeDoNotAllocate) {
   sim::Simulation simulation{1};
   net::Network network{simulation};
-  MulticastRouter router{simulation, network, {Time::zero(), 100_ms}};
+  MulticastRouter router{simulation, network, {100_ms}};
   const units::BitsPerSec rate{10e6};
   const net::NodeId source = network.add_node("source");
   const net::NodeId national = network.add_node("national");

@@ -31,7 +31,7 @@ constexpr net::LayerId kLayers = 3;
 constexpr Time kLeaveLatency = 400_ms;
 
 /// What the test knows of one member of one group, kept with the router's
-/// semantics (join_latency zero): a join makes the member local and forwarded
+/// semantics (instant grafts): a join makes the member local and forwarded
 /// to for good, a leave stops local delivery now and forwarding after
 /// kLeaveLatency.
 struct MemberMirror {
@@ -205,7 +205,7 @@ std::uint64_t churn_against_reference(Topology (*build)(net::Network&), std::uin
   net::Network network{simulation};
   const Topology topo = build(network);
   network.compute_routes();
-  MulticastRouter router{simulation, network, {Time::zero(), kLeaveLatency}};
+  MulticastRouter router{simulation, network, {kLeaveLatency}};
   router.set_session_source(0, topo.source);
 
   std::map<net::GroupAddr, GroupMirror> mirror;

@@ -40,6 +40,20 @@ TEST(ScenarioBuildTest, TopologyBHasExpectedShape) {
   for (const auto& r : s->results()) EXPECT_EQ(r.optimal, 4);
 }
 
+TEST(ScenarioBuildTest, WatchdogHorizonIsThreeControllerIntervals) {
+  // The watchdog is wired to the controller's interval, never configured on
+  // its own: three missed intervals of silence, whatever the interval.
+  ScenarioConfig fast = quick_config();
+  fast.params.interval = 1_s;
+  auto s = ScenarioBuilder(fast).topology_a(TopologyAOptions{}).build();
+  ASSERT_EQ(s->receiver_agents().size(), s->results().size());
+  for (const auto* agent : s->receiver_agents()) EXPECT_EQ(agent->silence_horizon(), 3_s);
+
+  auto d = ScenarioBuilder(quick_config()).topology_a(TopologyAOptions{}).build();
+  ASSERT_EQ(d->receiver_agents().size(), d->results().size());
+  for (const auto* agent : d->receiver_agents()) EXPECT_EQ(agent->silence_horizon(), 6_s);
+}
+
 TEST(ScenarioBuildTest, ControllerKindNoneRunsOpenLoop) {
   ScenarioConfig cfg = quick_config();
   cfg.control.kind = ControllerKind::kNone;

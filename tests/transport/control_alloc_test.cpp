@@ -32,7 +32,7 @@ TEST(ControlAlloc, SteadyStateReportSuggestionLoopDoesNotAllocate) {
   const net::NodeId receiver = network.add_node("receiver");
   network.add_duplex_link(controller, receiver, units::BitsPerSec{10e6}, 20_ms, 30);
   network.compute_routes();
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 500_ms}};
+  mcast::MulticastRouter mcast{simulation, network, {500_ms}};
   mcast.set_session_source(0, controller);
   DemuxRegistry demuxes{network};
 

@@ -5,17 +5,15 @@
 //
 // Usage:
 //   toposense_hotpath [options] <file-or-dir>...
-//     --baseline FILE          grandfathered findings; only new ones fail
-//     --write-baseline FILE    write all current findings as the new baseline
 //     --sarif FILE             also emit SARIF 2.1.0 (notes included)
 //     --reachable              print the per-root reachable-set report
 //     --drop-root NAME         ignore HOT_PATH on NAME (repeatable; testing)
 //     --notes                  print informational frontier notes
 //     --list-rules             print the rule catalogue and exit
 //
-// Exit: 0 clean (no non-baseline findings), 1 new findings, 2 usage/IO error.
-// Informational notes never gate. Run from the repository root so paths (and
-// baseline keys) are stable.
+// Exit: 0 clean (no findings), 1 findings, 2 usage/IO error. There is no
+// baseline: every finding gates. Informational notes never gate. Run from the
+// repository root so paths are stable.
 //
 // Two passes in one process: every file is summarized on its own, then the
 // link pass merges all summaries into one call graph.
@@ -26,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline.hpp"
 #include "engine.hpp"
 #include "model.hpp"
 #include "sarif.hpp"
@@ -37,8 +34,6 @@ namespace {
 
 struct Options {
   std::vector<fs::path> roots;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string sarif_path;
   bool reachable{false};
   bool notes{false};
@@ -48,8 +43,7 @@ struct Options {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--baseline FILE] [--write-baseline FILE]\n"
-               "           [--sarif FILE] [--reachable]\n"
+               "usage: %s [--sarif FILE] [--reachable]\n"
                "           [--drop-root NAME]... [--notes] [--list-rules]\n"
                "           <file-or-dir>...\n",
                argv0);
@@ -64,11 +58,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
       into = argv[++i];
       return true;
     };
-    if (arg == "--baseline") {
-      if (!value(opts.baseline_path)) return false;
-    } else if (arg == "--write-baseline") {
-      if (!value(opts.write_baseline_path)) return false;
-    } else if (arg == "--sarif") {
+    if (arg == "--sarif") {
       if (!value(opts.sarif_path)) return false;
     } else if (arg == "--reachable") {
       opts.reachable = true;
@@ -133,23 +123,8 @@ int main(int argc, char** argv) {
 
     if (opts.reachable) std::fputs(result.reachable_report.c_str(), stdout);
 
-    if (!opts.write_baseline_path.empty()) {
-      lint::Baseline::write(opts.write_baseline_path, result.findings);
-      std::printf("toposense_hotpath: wrote %zu baseline entr%s to %s\n", result.findings.size(),
-                  result.findings.size() == 1 ? "y" : "ies", opts.write_baseline_path.c_str());
-      return 0;
-    }
-
-    std::vector<lint::Finding> baselined;
-    std::vector<lint::Finding> fresh;
-    if (!opts.baseline_path.empty()) {
-      const lint::Baseline baseline = lint::Baseline::load(opts.baseline_path);
-      baseline.partition(result.findings, baselined, fresh);
-    } else {
-      fresh = result.findings;
-    }
-
-    for (const lint::Finding& f : fresh) {
+    const std::vector<lint::Finding>& findings = result.findings;
+    for (const lint::Finding& f : findings) {
       std::printf("%s:%zu: [%s/%s] %s\n", f.file.c_str(), f.line, f.check.c_str(),
                   f.rule.c_str(), f.message.c_str());
     }
@@ -164,22 +139,20 @@ int main(int argc, char** argv) {
       for (const auto& [id, description] : hotpath::rule_catalogue()) {
         rules.push_back({id, description});
       }
-      lint::write_sarif(opts.sarif_path, "toposense_hotpath", rules, baselined, fresh,
+      lint::write_sarif(opts.sarif_path, "toposense_hotpath", rules, {}, findings,
                         result.notes);
     }
 
-    if (!fresh.empty()) {
+    if (!findings.empty()) {
       std::printf(
-          "toposense_hotpath: %zu new finding(s), %zu baselined, %zu note(s), "
-          "%zu root(s), %zu reachable function(s)\n",
-          fresh.size(), baselined.size(), result.notes.size(), result.root_count,
-          result.reached_count);
+          "toposense_hotpath: %zu finding(s), %zu note(s), %zu root(s), "
+          "%zu reachable function(s)\n",
+          findings.size(), result.notes.size(), result.root_count, result.reached_count);
       return 1;
     }
     std::printf(
-        "toposense_hotpath: clean (%zu baselined, %zu note(s), %zu root(s), "
-        "%zu reachable function(s))\n",
-        baselined.size(), result.notes.size(), result.root_count, result.reached_count);
+        "toposense_hotpath: clean (%zu note(s), %zu root(s), %zu reachable function(s))\n",
+        result.notes.size(), result.root_count, result.reached_count);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
