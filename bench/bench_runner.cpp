@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "check/invariant_auditor.hpp"
+#include "common.hpp"
 #include "core/toposense.hpp"
 #include "fault/fault_plan.hpp"
 #include "metrics/recovery.hpp"
@@ -70,10 +71,7 @@ std::uint64_t peak_rss_bytes() {
 
 bool g_quick_flag = false;  // set by --quick
 
-bool quick() {
-  const char* env = std::getenv("TOPOSENSE_BENCH_QUICK");
-  return g_quick_flag || (env != nullptr && std::strcmp(env, "1") == 0);
-}
+bool quick() { return g_quick_flag || bench::quick_mode(); }
 
 /// Median wall-clock of three repetitions of `run` (which returns wall_s).
 /// Single timed runs of the kernel cases swing by +/-10% on a busy machine —

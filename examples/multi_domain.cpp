@@ -116,12 +116,7 @@ int main() {
   // Time-averaged level over the settled tail beats an instantaneous
   // snapshot (a receiver may be mid-probe at the horizon).
   auto mean_level = [&](std::size_t slot) {
-    double level = 0.0;
-    for (int l = 0; l <= params.layers.num_layers; ++l) {
-      level += l * timelines[slot].time_at_level_fraction(l, Time::seconds(120),
-                                                          Time::seconds(240));
-    }
-    return level;
+    return timelines[slot].mean_level(Time::seconds(120), Time::seconds(240));
   };
   std::printf("%-8s %10s %12s %12s %16s\n", "domain", "optimal", "mean(rcv0)", "mean(rcv1)",
               "controller runs");

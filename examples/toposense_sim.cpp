@@ -144,10 +144,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %8s %12s %10s %14s %10s\n", "receiver", "optimal", "mean level",
               "changes", "dev (tail)", "loss");
   for (const auto& r : scenario->results()) {
-    double mean = 0.0;
-    for (int level = 0; level <= config.params.layers.num_layers; ++level) {
-      mean += level * r.timeline.time_at_level_fraction(level, tail_from, config.duration);
-    }
+    const double mean = r.timeline.mean_level(tail_from, config.duration);
     std::printf("%-14s %8d %12.2f %10d %14.3f %9.2f%%\n", r.name.c_str(), r.optimal, mean,
                 r.timeline.change_count(sim::Time::zero(), config.duration),
                 r.optimal > 0

@@ -38,6 +38,10 @@ struct PassWorkspace {
   std::vector<double> x_sum;              ///< Σ x over sessions per link
   std::vector<double> headroom;           ///< per-node scratch (one session at a time)
   std::vector<std::vector<double>> x;     ///< per-session per-node max-layer weight
+  std::vector<units::Bytes> bytes_now;    ///< per-node current-window bytes (demand pass)
+  std::vector<int> sub_level;             ///< per-node subscribed level (demand pass)
+  std::vector<int> demand;                ///< per-node demand (one session at a time)
+  std::vector<int> supply;                ///< per-node supply (one session at a time)
 };
 
 /// Stage 1 (§III "Computing Congestion States"): derives internal-node loss

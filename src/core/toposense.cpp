@@ -89,11 +89,13 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
 
   // Per-node current-window bytes (leaf: reported; internal: max of children),
   // needed before the memory shift so compute bottom-up alongside demand.
-  std::vector<units::Bytes> bytes_now(tree.size(), units::Bytes::zero());
+  std::vector<units::Bytes>& bytes_now = ws_.bytes_now;
+  bytes_now.assign(tree.size(), units::Bytes::zero());
   // Actual subscribed level per node (leaf: reported subscription; internal:
   // max over children) — distinct from demand, which may include adds the
   // receivers have not applied yet.
-  std::vector<int> sub_level(tree.size(), 0);
+  std::vector<int>& sub_level = ws_.sub_level;
+  sub_level.assign(tree.size(), 0);
 
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t i = static_cast<std::size_t>(*it);
@@ -311,8 +313,8 @@ AlgorithmOutput TopoSense::run_interval(const AlgorithmInput& input, sim::Time n
   compute_fair_shares(active_trees_, ws_.cap_by_id, params_, ws_);
 
   const double window_s = std::max(input.window.as_seconds(), 1e-9);
-  std::vector<int> demand;
-  std::vector<int> supply;
+  std::vector<int>& demand = ws_.demand;
+  std::vector<int>& supply = ws_.supply;
   for (CachedTree* ct : active_cached_) {
     LabeledTree& lt = ct->lt;
     compute_demands(lt, ct->mem_slots, demand, now, window_s);

@@ -79,4 +79,14 @@ double SubscriptionTimeline::time_at_level_fraction(int level, sim::Time from,
   return at_level / (to - from).as_seconds();
 }
 
+double SubscriptionTimeline::mean_level(sim::Time from, sim::Time to) const {
+  int max_level = 0;
+  for (const auto& point : points_) max_level = std::max(max_level, point.second);
+  double mean = 0.0;
+  for (int level = 0; level <= max_level; ++level) {
+    mean += level * time_at_level_fraction(level, from, to);
+  }
+  return mean;
+}
+
 }  // namespace tsim::metrics

@@ -37,6 +37,10 @@ class SubscriptionTimeline {
   /// Fraction of [from, to] spent exactly at `optimal`.
   [[nodiscard]] double time_at_level_fraction(int level, sim::Time from, sim::Time to) const;
 
+  /// Time-averaged level over [from, to]: Σ level · time_at_level_fraction
+  /// over levels 0..the highest level recorded.
+  [[nodiscard]] double mean_level(sim::Time from, sim::Time to) const;
+
   [[nodiscard]] const std::vector<std::pair<sim::Time, int>>& points() const { return points_; }
 
  private:

@@ -99,6 +99,16 @@ TEST(TimelineTest, TimeAtLevelFraction) {
   EXPECT_DOUBLE_EQ(tl.time_at_level_fraction(1, Time::zero(), 100_s), 0.0);
 }
 
+TEST(TimelineTest, MeanLevelWeighsEachLevelByItsTime) {
+  SubscriptionTimeline tl{Time::zero(), 2};
+  tl.record(20_s, 4);
+  tl.record(60_s, 1);
+  // 20 s at 2, 40 s at 4, 40 s at 1 over 100 s: (40 + 160 + 40) / 100.
+  EXPECT_DOUBLE_EQ(tl.mean_level(Time::zero(), 100_s), 2.4);
+  // A window inside one spell is that spell's level.
+  EXPECT_DOUBLE_EQ(tl.mean_level(25_s, 55_s), 4.0);
+}
+
 // Property: deviation scales linearly in the distance from optimal.
 class DeviationLinearity : public ::testing::TestWithParam<int> {};
 

@@ -23,10 +23,7 @@ TEST(ChurnTest, StaggeredJoinsStillConverge) {
   auto s = ScenarioBuilder(config).topology_a(options).build();
   s->run();
   for (const auto& r : s->results()) {
-    double mean = 0.0;
-    for (int level = 0; level <= 6; ++level) {
-      mean += level * r.timeline.time_at_level_fraction(level, 150_s, 240_s);
-    }
+    const double mean = r.timeline.mean_level(150_s, 240_s);
     EXPECT_GE(mean, 1.8) << r.name;
     // Late joiners were at level 0 before their start; deviation measured
     // only over the settled tail.
@@ -62,13 +59,7 @@ TEST(ChurnTest, LeaversReleaseTheirGroups) {
   // Leavers end at level 0; stayers keep a sane level.
   EXPECT_EQ(s->results()[1].final_subscription, 0);
   EXPECT_EQ(s->results()[3].final_subscription, 0);
-  auto mean_tail = [&](std::size_t i) {
-    double mean = 0.0;
-    for (int level = 0; level <= 6; ++level) {
-      mean += level * s->results()[i].timeline.time_at_level_fraction(level, 150_s, 200_s);
-    }
-    return mean;
-  };
+  auto mean_tail = [&](std::size_t i) { return s->results()[i].timeline.mean_level(150_s, 200_s); };
   EXPECT_GE(mean_tail(0), 1.8);
   EXPECT_GE(mean_tail(2), 1.8);
   // And their groups are actually gone from the multicast state.

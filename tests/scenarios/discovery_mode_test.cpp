@@ -21,10 +21,7 @@ TEST(DiscoveryModeTest, MtraceDrivenControlConverges) {
   auto s = ScenarioBuilder(config).topology_a(TopologyAOptions{}).build();
   s->run();
   for (const auto& r : s->results()) {
-    double mean = 0.0;
-    for (int level = 0; level <= 6; ++level) {
-      mean += level * r.timeline.time_at_level_fraction(level, 120_s, 240_s);
-    }
+    const double mean = r.timeline.mean_level(120_s, 240_s);
     EXPECT_GE(mean, 1.8) << r.name;
     EXPECT_LT(r.timeline.relative_deviation(r.optimal, 120_s, 240_s), 0.7) << r.name;
   }

@@ -32,10 +32,7 @@ TEST(IntegrationTopologyA, HeterogeneousSetsConvergeNearTheirOptima) {
   for (const auto& r : s->results()) {
     const double dev = r.timeline.relative_deviation(r.optimal, 150_s, 300_s);
     EXPECT_LT(dev, 0.45) << r.name << " optimal=" << r.optimal;
-    double mean = 0.0;
-    for (int level = 0; level <= 6; ++level) {
-      mean += level * r.timeline.time_at_level_fraction(level, 150_s, 300_s);
-    }
+    const double mean = r.timeline.mean_level(150_s, 300_s);
     EXPECT_NEAR(mean, r.optimal, 1.2) << r.name;
   }
 }
@@ -52,11 +49,7 @@ TEST(IntegrationTopologyA, IntraSessionFairnessWithinSets) {
     std::vector<double> means;
     for (int i = 0; i < 4; ++i) {
       const auto& r = res[set * 4 + i];
-      double mean = 0.0;
-      for (int level = 0; level <= 6; ++level) {
-        mean += level * r.timeline.time_at_level_fraction(level, 150_s, 300_s);
-      }
-      means.push_back(mean);
+      means.push_back(r.timeline.mean_level(150_s, 300_s));
     }
     const double lo = *std::min_element(means.begin(), means.end());
     const double hi = *std::max_element(means.begin(), means.end());
@@ -97,10 +90,7 @@ TEST(IntegrationTopologyB, VbrAlsoConverges) {
   // mid-probe-collapse): each session must sit well above the base layer
   // over the second half.
   for (const auto& r : s->results()) {
-    double mean = 0.0;
-    for (int level = 0; level <= 6; ++level) {
-      mean += level * r.timeline.time_at_level_fraction(level, 150_s, 300_s);
-    }
+    const double mean = r.timeline.mean_level(150_s, 300_s);
     EXPECT_GE(mean, 1.5) << r.name;  // VBR at ~96% mean utilization sits below the CBR optimum
     EXPECT_LE(mean, 6.0) << r.name;
   }

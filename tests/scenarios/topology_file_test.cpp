@@ -203,10 +203,7 @@ TEST(FromDescriptionTest, BuildsAndRunsEndToEnd) {
   EXPECT_EQ(scenario->results()[0].optimal, 3);  // 256 kbps bottleneck
   scenario->run();
   // Receiver joined at 5 s and should have climbed toward 3 layers.
-  double mean = 0.0;
-  for (int level = 0; level <= 6; ++level) {
-    mean += level * scenario->results()[0].timeline.time_at_level_fraction(level, 60_s, 120_s);
-  }
+  const double mean = scenario->results()[0].timeline.mean_level(60_s, 120_s);
   EXPECT_GE(mean, 1.7);  // RED early-drops shave the mean slightly below the drop-tail value
   // The RED link option took effect.
   bool any_red = false;
